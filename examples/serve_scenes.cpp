@@ -2,7 +2,7 @@
  * @file
  * Walkthrough of the render-serving front-end (src/serve/): register
  * scenes, warm them into the prepared-frame registry, submit requests
- * with priorities and deadlines, and read the telemetry snapshot.
+ * with deadlines, and read the telemetry snapshot.
  *
  * With --shards N (N >= 2) the walkthrough instead drives the sharded
  * front-end (serve/cluster.h): rendezvous routing, overload spill with
@@ -192,10 +192,12 @@ RunSingle()
                         .c_str());
     }
 
-    // A burst of simultaneous requests: a high-priority AR client with
-    // a real-time budget, background requests, and more work than the
-    // queue admits. Arrivals share one virtual timestamp, so admission
-    // order is exactly submission order.
+    // A burst of simultaneous requests: an AR client with a real-time
+    // budget, background requests, and more work than the queue admits.
+    // Arrivals share one virtual timestamp, so admission order is
+    // exactly submission order. Priority is carried on the request (and
+    // printed) but does not change service order: every request
+    // resolves inside Submit, so deadlines and tiers shape the verdicts.
     struct Spec {
         const char* scene;
         int priority;

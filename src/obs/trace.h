@@ -261,7 +261,8 @@ class ScopedTraceContext
 
 /**
  * Bookkeeping one traced request threads from Submit to completion
- * (captured by the dispatch work lambda / batch member). Inactive —
+ * (through the serving commit, or held by a batch member until its
+ * batch flushes). Inactive —
  * all zeros, nothing recorded — when tracing is off.
  */
 struct RequestTrace {

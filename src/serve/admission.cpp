@@ -257,6 +257,9 @@ AdmissionController::Admit(double arrival_ms, double est_latency_ms,
 {
     FLEX_CHECK_MSG(est_latency_ms >= 0.0,
                    "negative latency estimate " << est_latency_ms);
+    FLEX_CHECK_MSG(std::isfinite(arrival_ms) && std::isfinite(deadline_ms),
+                   "non-finite arrival " << arrival_ms << " or deadline "
+                                         << deadline_ms);
     FLEX_CHECK_MSG(tier < tiers_.size(),
                    "tier " << tier << " out of range (policy resolves "
                            << tiers_.size() << " tiers)");
@@ -316,6 +319,9 @@ AdmissionController::Probe(double arrival_ms, double est_latency_ms,
 {
     FLEX_CHECK_MSG(est_latency_ms >= 0.0,
                    "negative latency estimate " << est_latency_ms);
+    FLEX_CHECK_MSG(std::isfinite(arrival_ms) && std::isfinite(deadline_ms),
+                   "non-finite arrival " << arrival_ms << " or deadline "
+                                         << deadline_ms);
     FLEX_CHECK_MSG(tier < tiers_.size(),
                    "tier " << tier << " out of range (policy resolves "
                            << tiers_.size() << " tiers)");

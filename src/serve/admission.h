@@ -164,7 +164,7 @@ class AdmissionController
         /** The deadline the verdict was judged against, after the
          *  tier-default then policy-default fallback (0 = none). The
          *  controller owns deadline resolution; callers that need the
-         *  effective deadline (e.g. for dispatch ordering) read it
+         *  effective deadline (e.g. the cluster's replay budget) read it
          *  from here rather than re-deriving it. */
         double deadline_ms = 0.0;
         /** The tier the verdict was judged under. */
@@ -207,7 +207,8 @@ class AdmissionController
      * the tier default, then the policy default). Arrivals are clamped
      * monotone (an arrival earlier than a previous one is treated as
      * simultaneous with it), so any submission order yields a
-     * consistent schedule. @p tier must index tiers() (fatal
+     * consistent schedule. @p tier must index tiers(), and
+     * @p arrival_ms and @p deadline_ms must be finite (fatal
      * otherwise).
      */
     Verdict Admit(double arrival_ms, double est_latency_ms,

@@ -570,9 +570,7 @@ ShardedRenderService::Submit(const SceneRequest& request,
                              {TraceArg::Str("scene", request.scene)});
     }
 
-    const ClusterTicket ticket = next_ticket_++;
-    pending_.emplace(ticket, std::move(pending));
-    return ticket;
+    return pending_.Append(std::move(pending));
 }
 
 void
@@ -752,11 +750,7 @@ ShardedRenderService::Wait(ClusterTicket ticket)
     Pending pending;
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        const auto it = pending_.find(ticket);
-        FLEX_CHECK_MSG(it != pending_.end(),
-                       "unknown or already-consumed cluster ticket");
-        pending = std::move(it->second);
-        pending_.erase(it);
+        pending = pending_.Take(ticket);
     }
     return Finish(std::move(pending));
 }
@@ -764,21 +758,15 @@ ShardedRenderService::Wait(ClusterTicket ticket)
 std::vector<ClusterRenderResult>
 ShardedRenderService::WaitAll()
 {
-    std::vector<std::pair<ClusterTicket, Pending>> drained;
+    std::vector<Pending> drained;
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        drained.reserve(pending_.size());
-        for (auto& entry : pending_) {
-            drained.emplace_back(entry.first, std::move(entry.second));
-        }
-        pending_.clear();
+        drained = pending_.TakeAll();
     }
-    std::sort(drained.begin(), drained.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
     std::vector<ClusterRenderResult> results;
     results.reserve(drained.size());
-    for (auto& entry : drained) {
-        results.push_back(Finish(std::move(entry.second)));
+    for (Pending& pending : drained) {
+        results.push_back(Finish(std::move(pending)));
     }
     return results;
 }
@@ -815,22 +803,19 @@ ShardedRenderService::KillShardLocked(std::size_t shard, double now_ms)
         double latency_ms = 0.0;
         std::size_t tier = 0;
     };
-    std::vector<ClusterTicket> to_replay;
+    std::vector<ClusterTicket> to_replay;  // ticket order
     std::vector<Phantom> phantoms;
-    for (auto& entry : pending_) {
-        Pending& pending = entry.second;
-        if (pending.resolved || pending.shard != shard) continue;
-        RenderResult result =
-            shards_[shard]->Wait(pending.shard_ticket);
+    pending_.ForEach([&](ClusterTicket ticket, Pending& pending) {
+        if (pending.resolved || pending.shard != shard) return;
+        RenderResult result = shards_[shard]->Wait(pending.shard_ticket);
         if (pending.accepted && pending.completion_ms > now_ms) {
-            to_replay.push_back(entry.first);
+            to_replay.push_back(ticket);
             phantoms.push_back(Phantom{result.latency_ms, result.tier});
         } else {
             pending.result = std::move(result);
             pending.resolved = true;
         }
-    }
-    std::sort(to_replay.begin(), to_replay.end());
+    });
 
     // Fold the dead replica's telemetry into the lifetime aggregates.
     // Its capacity contribution is its own span — it served alone for
@@ -895,7 +880,7 @@ ShardedRenderService::KillShardLocked(std::size_t shard, double now_ms)
     // deadline budget, spill surcharge if the home is cold (a session
     // replay never pays it: re-homing just pinned the scene there).
     for (const ClusterTicket ticket : to_replay) {
-        Pending& pending = pending_.at(ticket);
+        Pending& pending = pending_.At(ticket);
         SceneRequest request = pending.request;
         const SubmitOptions options = pending.options;
         SceneDesc& desc = scenes_.at(request.scene);
@@ -1103,12 +1088,11 @@ ShardedRenderService::Resize(std::size_t new_shards)
     // Results are retained, so tickets issued before the resize stay
     // claimable after it. (Dead shards hold no unresolved tickets —
     // KillShard resolved or replayed them.)
-    for (auto& entry : pending_) {
-        Pending& pending = entry.second;
-        if (pending.resolved) continue;
+    pending_.ForEach([this](ClusterTicket, Pending& pending) {
+        if (pending.resolved) return;
         pending.result = shards_[pending.shard]->Wait(pending.shard_ticket);
         pending.resolved = true;
-    }
+    });
 
     // Fold the retiring live replicas' telemetry into the lifetime
     // aggregates, so Snapshot keeps reporting cluster-lifetime totals

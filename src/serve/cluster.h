@@ -130,7 +130,8 @@ struct ReplicationConfig {
 struct ClusterConfig {
     /** Replica count (>= 1; fatal otherwise). */
     std::size_t shards = 1;
-    /** Worker threads per replica (0 = hardware concurrency). */
+    /** Pool threads per replica, for cold-compile fan-out (0 =
+     *  hardware concurrency). */
     int threads_per_shard = 0;
     /** Per-replica PlanCache capacity in entries (0 = unbounded). */
     std::size_t plan_cache_capacity = 0;
@@ -387,10 +388,12 @@ class ShardedRenderService
     SessionId OpenSession(const std::string& scene,
                           const CoherenceModel& model = {});
 
-    /** Blocks until the ticket's request resolves; consumes the ticket. */
+    /** Returns the ticket's result and consumes the ticket (fatal if
+     *  unknown or already consumed). */
     ClusterRenderResult Wait(ClusterTicket ticket);
 
-    /** Drains every outstanding ticket, in submission order. */
+    /** Consumes every outstanding ticket and returns their results in
+     *  ticket (submission) order. */
     std::vector<ClusterRenderResult> WaitAll();
 
     /**
@@ -661,8 +664,7 @@ class ShardedRenderService
     std::vector<ShardAux> aux_;
     std::unordered_map<std::string, SceneDesc> scenes_;
     std::vector<std::string> scene_order_;
-    std::unordered_map<ClusterTicket, Pending> pending_;
-    ClusterTicket next_ticket_ = 0;
+    TicketLedger<Pending> pending_;
     /** Open trajectory sessions (never erased) and their open order —
      *  the deterministic iteration order for re-homing. */
     std::unordered_map<SessionId, SessionDesc> sessions_;

@@ -88,6 +88,40 @@ TraceNotAccepted(TraceRecorder* recorder, const RequestTrace& trace,
                           TraceArg::Str("status", ToString(status))});
 }
 
+/** Records an accepted request's queue_wait, service and request
+ *  spans on their fixed virtual schedule; @p wall_begin / @p wall_end
+ *  bracket the replay that served it. */
+void
+TraceServed(TraceRecorder* recorder, const RequestTrace& trace,
+            const std::string& scene, double wall_begin, double wall_end,
+            std::vector<TraceArg> service_args)
+{
+    if (recorder == nullptr || !trace.active()) return;
+    recorder->RecordSpan(trace.ctx, "queue", "queue_wait", trace.arrival_ms,
+                         trace.start_ms, trace.wall_queued_us, wall_begin);
+    recorder->RecordSpan(trace.ctx, "service", "service", trace.start_ms,
+                         trace.completion_ms, wall_begin, wall_end,
+                         std::move(service_args));
+    TraceContext root_ctx;
+    root_ctx.trace_id = trace.ctx.trace_id;
+    root_ctx.parent_span = trace.root_parent;
+    recorder->RecordSpan(root_ctx, "request", "request", trace.arrival_ms,
+                         trace.completion_ms, trace.wall_submit_us, wall_end,
+                         {TraceArg::Str("scene", scene)});
+}
+
+/** Replays a prepared frame (memoized plan + result; see
+ *  plan/plan_cache.h) under @p trace's context, so PlanCache instants
+ *  land in the request's trace, anchored at its virtual start. */
+FrameCost
+Replay(PlanCache& cache, ThreadPool& pool,
+       const PlanCache::PreparedFrame& frame, const RequestTrace& trace)
+{
+    if (!trace.active()) return cache.Run(frame, &pool);
+    ScopedTraceContext scoped(trace.ctx, trace.start_ms);
+    return cache.Run(frame, &pool);
+}
+
 }  // namespace
 
 std::string
@@ -146,10 +180,8 @@ RenderService::RenderService(const ServeConfig& config)
 
 RenderService::~RenderService()
 {
-    // Resolve every outstanding ticket so no worker touches a dead
-    // service; the pool destructor then drains any remaining drain
-    // tasks (which find an empty dispatch queue).
-    WaitAll();
+    std::lock_guard<std::mutex> lock(batch_mutex_);
+    FlushAllOpenBatchesLocked();
 }
 
 void
@@ -191,39 +223,20 @@ RenderService::WarmScene(const std::string& scene)
 }
 
 ServeTicket
-RenderService::Issue(std::future<RenderResult> future)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    const ServeTicket ticket = next_ticket_++;
-    inflight_.emplace(ticket, std::move(future));
-    return ticket;
-}
-
-ServeTicket
-RenderService::Submit(const SceneRequest& request, double extra_service_ms)
-{
-    SubmitOptions options;
-    options.extra_service_ms = extra_service_ms;
-    return Submit(request, options);
-}
-
-ServeTicket
 RenderService::Submit(const SceneRequest& request,
                       const SubmitOptions& options)
 {
-    // Each path is a separate function, not interleaved conditions:
-    // with no session and the window off this body is exactly the
-    // pre-batching service, byte-identical telemetry included.
+    // Each path prices in its own function, then all three commit
+    // through Commit: with no session and the window off this is
+    // exactly the pre-batching service, byte-identical telemetry
+    // included.
     if (options.session != 0) {
         return SubmitSession(request, options);
     }
-    const double extra_service_ms = options.extra_service_ms;
     if (batch_window_ms_ > 0.0 && options.batching) {
-        return SubmitBatched(request, extra_service_ms);
+        return SubmitBatched(request, options.extra_service_ms);
     }
-    submitted_.fetch_add(1);
-    TraceRecorder* const recorder = TraceRecorder::Global();
-    RequestTrace trace = BeginRequestTrace(recorder, request);
+    RequestTrace trace = BeginRequestTrace(TraceRecorder::Global(), request);
     // First touch compiles and pins the scene; steady state returns the
     // pinned entry (a map lookup).
     const std::shared_ptr<const SceneEntry> scene =
@@ -235,110 +248,68 @@ RenderService::Submit(const SceneRequest& request,
     // occupies the device for its longest chain, and admission verdicts
     // must reflect that (see accel/accelerator.h, EstimatedServiceMs).
     const double est_service_ms =
-        EstimatedServiceMs(scene->cost) + extra_service_ms;
+        EstimatedServiceMs(scene->cost) + options.extra_service_ms;
     const AdmissionController::Verdict verdict = admission_.Admit(
         request.arrival_ms, est_service_ms, request.deadline_ms,
         request.tier);
+    return Commit(request, verdict, est_service_ms, trace, &scene->frame);
+}
 
+ServeTicket
+RenderService::Commit(const SceneRequest& request,
+                      const AdmissionController::Verdict& verdict,
+                      double est_service_ms, RequestTrace& trace,
+                      const PlanCache::PreparedFrame* frame)
+{
+    submitted_.fetch_add(1);
+    TraceRecorder* const recorder = TraceRecorder::Global();
+    const std::string& tier_name = admission_.tiers()[verdict.tier].name;
     RenderResult result;
     result.scene = request.scene;
     result.tier = verdict.tier;
-    result.queue_wait_ms = verdict.wait_ms;
-    result.latency_ms = verdict.completion_ms - verdict.arrival_ms;
 
     using Outcome = AdmissionController::Outcome;
     if (verdict.outcome != Outcome::kAccepted) {
         result.status = verdict.outcome == Outcome::kRejectedQueueFull
                             ? RequestStatus::kRejectedQueueFull
                             : RequestStatus::kShedDeadline;
-        result.latency_ms = 0.0;
-        result.queue_wait_ms = 0.0;
         registry_.CountOutcome(request.scene, /*accepted=*/false,
                                result.status ==
                                    RequestStatus::kShedDeadline);
-        TraceNotAccepted(recorder, trace, verdict,
-                         admission_.tiers()[verdict.tier].name,
-                         result.status, request.scene);
-        // Resolve immediately: shed work never reaches the queue.
-        std::promise<RenderResult> promise;
-        promise.set_value(std::move(result));
-        return Issue(promise.get_future());
+        TraceNotAccepted(recorder, trace, verdict, tier_name, result.status,
+                         request.scene);
+        std::lock_guard<std::mutex> lock(mutex_);
+        return ledger_.Append(std::move(result));
     }
 
+    result.queue_wait_ms = verdict.wait_ms;
+    result.latency_ms = verdict.completion_ms - verdict.arrival_ms;
     registry_.CountOutcome(request.scene, /*accepted=*/true,
                            /*shed=*/false);
     // Telemetry is recorded at admission — the virtual latency is fully
     // determined here — so percentiles never depend on execution order.
     latency_.Record(result.latency_ms);
     tier_latency_[verdict.tier].Record(result.latency_ms);
-    TraceAccepted(recorder, trace, verdict,
-                  admission_.tiers()[verdict.tier].name, est_service_ms);
-
-    auto promise = std::make_shared<std::promise<RenderResult>>();
-    std::future<RenderResult> future = promise->get_future();
-
-    DispatchItem item;
-    item.priority = request.priority;
-    // Dispatch orders by the absolute deadline admission actually
-    // judged against — the clamped arrival and the policy-resolved
-    // deadline — so a request admitted under the default is exactly as
-    // urgent as one carrying the same deadline explicitly.
-    item.deadline_ms = verdict.deadline_ms > 0.0
-                           ? verdict.arrival_ms + verdict.deadline_ms
-                           : 0.0;
-    item.sequence = sequence_.fetch_add(1);
-    item.work = [this, scene, promise, trace,
-                 result = std::move(result)]() mutable {
-        // The steady-state hot path: replay the pinned prepared frame
-        // (memoized plan + result; see plan/plan_cache.h).
-        TraceRecorder* const rec =
-            trace.active() ? TraceRecorder::Global() : nullptr;
+    TraceAccepted(recorder, trace, verdict, tier_name, est_service_ms);
+    if (frame != nullptr) {
+        // The steady-state hot path: replay the pinned prepared frame.
+        TraceRecorder* const rec = trace.active() ? recorder : nullptr;
+        const double wall_begin = rec != nullptr ? rec->NowWallUs() : 0.0;
+        result.cost = Replay(cache_, pool_, *frame, trace);
         if (rec != nullptr) {
-            // Queue wait: virtual [arrival, start] against the wall
-            // window from enqueue to this pop.
-            rec->RecordSpan(trace.ctx, "queue", "queue_wait",
-                            trace.arrival_ms, trace.start_ms,
-                            trace.wall_queued_us, rec->NowWallUs());
-            const double wall_begin = rec->NowWallUs();
-            {
-                // Propagate the request identity into the plan layer:
-                // PlanCache instants and any FramePlan execution land
-                // in this trace, anchored at the virtual start.
-                ScopedTraceContext scoped(trace.ctx, trace.start_ms);
-                result.cost = cache_.Run(scene->frame, &pool_);
-            }
-            const double wall_end = rec->NowWallUs();
-            rec->RecordSpan(trace.ctx, "service", "service",
-                            trace.start_ms, trace.completion_ms,
-                            wall_begin, wall_end);
-            TraceContext root_ctx;
-            root_ctx.trace_id = trace.ctx.trace_id;
-            root_ctx.parent_span = trace.root_parent;
-            rec->RecordSpan(root_ctx, "request", "request",
-                            trace.arrival_ms, trace.completion_ms,
-                            trace.wall_submit_us, wall_end,
-                            {TraceArg::Str("scene", result.scene)});
-        } else {
-            result.cost = cache_.Run(scene->frame, &pool_);
+            TraceServed(rec, trace, request.scene, wall_begin,
+                        rec->NowWallUs(), {});
         }
         completed_.fetch_add(1);
-        promise->set_value(std::move(result));
-    };
-    queue_.Push(std::move(item));
-    // One drain task per admitted request: the worker pops the most
-    // urgent pending item, which need not be the one just pushed.
-    pool_.Enqueue([this] {
-        DispatchItem next;
-        if (queue_.Pop(&next)) next.work();
-    });
-    return Issue(std::move(future));
+    }
+    std::lock_guard<std::mutex> lock(mutex_);
+    return ledger_.Append(std::move(result));
 }
 
 ServeTicket
 RenderService::SubmitBatched(const SceneRequest& request,
                              double extra_service_ms)
 {
-    submitted_.fetch_add(1);
     const std::shared_ptr<const SceneEntry> scene =
         registry_.Touch(request.scene, &pool_);
 
@@ -361,7 +332,7 @@ RenderService::SubmitBatched(const SceneRequest& request,
     const auto open = open_by_scene_.find(request.scene);
     if (open != open_by_scene_.end()) {
         if (open->second->members.size() >= max_batch_elements_) {
-            // Full: dispatch it now; this request opens a fresh batch.
+            // Full: flush it now; this request opens a fresh batch.
             FlushBatchLocked(open->second);
         } else {
             batch = open->second;
@@ -390,56 +361,17 @@ RenderService::SubmitBatched(const SceneRequest& request,
     const AdmissionController::Verdict verdict = admission_.Admit(
         request.arrival_ms, est + extra_service_ms, request.deadline_ms,
         request.tier);
-
-    RenderResult result;
-    result.scene = request.scene;
-    result.tier = verdict.tier;
-    result.queue_wait_ms = verdict.wait_ms;
-    result.latency_ms = verdict.completion_ms - verdict.arrival_ms;
-
-    using Outcome = AdmissionController::Outcome;
-    if (verdict.outcome != Outcome::kAccepted) {
-        result.status = verdict.outcome == Outcome::kRejectedQueueFull
-                            ? RequestStatus::kRejectedQueueFull
-                            : RequestStatus::kShedDeadline;
-        result.latency_ms = 0.0;
-        result.queue_wait_ms = 0.0;
-        registry_.CountOutcome(request.scene, /*accepted=*/false,
-                               result.status ==
-                                   RequestStatus::kShedDeadline);
-        TraceNotAccepted(recorder, trace, verdict,
-                         admission_.tiers()[verdict.tier].name,
-                         result.status, request.scene);
-        // A shed or rejected joiner consumes no batch slot: the open
-        // batch keeps collecting as if the request never arrived.
-        std::promise<RenderResult> promise;
-        promise.set_value(std::move(result));
-        return Issue(promise.get_future());
+    const ServeTicket ticket =
+        Commit(request, verdict, est, trace, /*frame=*/nullptr);
+    // A shed or rejected joiner consumes no batch slot: the open batch
+    // keeps collecting as if the request never arrived.
+    if (verdict.outcome != AdmissionController::Outcome::kAccepted) {
+        return ticket;
     }
 
-    registry_.CountOutcome(request.scene, /*accepted=*/true,
-                           /*shed=*/false);
-    latency_.Record(result.latency_ms);
-    tier_latency_[verdict.tier].Record(result.latency_ms);
-    TraceAccepted(recorder, trace, verdict,
-                  admission_.tiers()[verdict.tier].name, est);
-    // Every member reports the scene's solo frame cost — the fused
-    // execution is an amortization of identical frames, not a different
-    // render — so per-request results are bit-identical to the
-    // unbatched path's (the flush checks the fused cost separately).
-    result.cost = scene->cost;
-
-    auto promise = std::make_shared<std::promise<RenderResult>>();
-    std::future<RenderResult> future = promise->get_future();
-    const double abs_deadline_ms =
-        verdict.deadline_ms > 0.0
-            ? verdict.arrival_ms + verdict.deadline_ms
-            : 0.0;
     BatchMember member;
-    member.promise = std::move(promise);
-    member.result = std::move(result);
+    member.ticket = ticket;
     member.trace = trace;
-
     if (joining) {
         if (recorder != nullptr && trace.active()) {
             recorder->RecordInstant(
@@ -457,19 +389,11 @@ RenderService::SubmitBatched(const SceneRequest& request,
         // marginal and the shape a flush replays advance together.
         batch->fused_cost = fused->cost;
         batch->frame = fused->frame;
-        batch->max_priority =
-            std::max(batch->max_priority, request.priority);
-        if (abs_deadline_ms > 0.0 &&
-            (batch->min_abs_deadline_ms == 0.0 ||
-             abs_deadline_ms < batch->min_abs_deadline_ms)) {
-            batch->min_abs_deadline_ms = abs_deadline_ms;
-        }
     } else {
         OpenBatch fresh;
         fresh.scene = request.scene;
         fresh.close_ms = arrival + batch_window_ms_;
-        fresh.max_priority = request.priority;
-        fresh.min_abs_deadline_ms = abs_deadline_ms;
+        fresh.solo_cost = scene->cost;
         fresh.fused_cost = scene->cost;
         fresh.frame = scene->frame;
         fresh.trace_ctx = trace.ctx;
@@ -482,7 +406,7 @@ RenderService::SubmitBatched(const SceneRequest& request,
         open_batches_.push_back(std::move(fresh));
         open_by_scene_[request.scene] = std::prev(open_batches_.end());
     }
-    return Issue(std::move(future));
+    return ticket;
 }
 
 SessionId
@@ -543,7 +467,6 @@ ServeTicket
 RenderService::SubmitSession(const SceneRequest& request,
                              const SubmitOptions& options)
 {
-    submitted_.fetch_add(1);
     // One lock around the whole coherence decision and its Admit: the
     // verdict depends on the session's last rendered pose, so both must
     // see one consistent submission order.
@@ -609,40 +532,15 @@ RenderService::SubmitSession(const SceneRequest& request,
         request.arrival_ms, estimate.service_ms, request.deadline_ms,
         request.tier);
 
-    RenderResult result;
-    result.scene = request.scene;
-    result.tier = verdict.tier;
-    result.queue_wait_ms = verdict.wait_ms;
-    result.latency_ms = verdict.completion_ms - verdict.arrival_ms;
-
-    using Outcome = AdmissionController::Outcome;
-    if (verdict.outcome != Outcome::kAccepted) {
-        result.status = verdict.outcome == Outcome::kRejectedQueueFull
-                            ? RequestStatus::kRejectedQueueFull
-                            : RequestStatus::kShedDeadline;
-        result.latency_ms = 0.0;
-        result.queue_wait_ms = 0.0;
-        registry_.CountOutcome(request.scene, /*accepted=*/false,
-                               result.status ==
-                                   RequestStatus::kShedDeadline);
-        TraceNotAccepted(recorder, trace, verdict,
-                         admission_.tiers()[verdict.tier].name,
-                         result.status, request.scene);
-        // The session does not advance: a rejected or shed frame was
-        // never rendered, so the next frame's reuse is still measured
-        // against the last frame that actually exists.
-        std::promise<RenderResult> promise;
-        promise.set_value(std::move(result));
-        return Issue(promise.get_future());
+    const ServeTicket ticket =
+        Commit(request, verdict, estimate.service_ms, trace,
+               as_delta ? &delta->frame : &scene->frame);
+    // The session does not advance on a rejected or shed frame: it was
+    // never rendered, so the next frame's reuse is still measured
+    // against the last frame that actually exists.
+    if (verdict.outcome != AdmissionController::Outcome::kAccepted) {
+        return ticket;
     }
-
-    registry_.CountOutcome(request.scene, /*accepted=*/true,
-                           /*shed=*/false);
-    latency_.Record(result.latency_ms);
-    tier_latency_[verdict.tier].Record(result.latency_ms);
-    TraceAccepted(recorder, trace, verdict,
-                  admission_.tiers()[verdict.tier].name,
-                  estimate.service_ms);
     if (recorder != nullptr && trace.active()) {
         recorder->RecordInstant(
             trace.ctx, "session",
@@ -667,66 +565,7 @@ RenderService::SubmitSession(const SceneRequest& request,
         ++session.full_frames;
         if (coherence_break) ++session.coherence_breaks;
     }
-
-    return DispatchFrame(request,
-                         as_delta ? delta->frame : scene->frame, verdict,
-                         trace, std::move(result));
-}
-
-ServeTicket
-RenderService::DispatchFrame(const SceneRequest& request,
-                             const PlanCache::PreparedFrame& frame,
-                             const AdmissionController::Verdict& verdict,
-                             RequestTrace trace, RenderResult result)
-{
-    auto promise = std::make_shared<std::promise<RenderResult>>();
-    std::future<RenderResult> future = promise->get_future();
-
-    DispatchItem item;
-    item.priority = request.priority;
-    item.deadline_ms = verdict.deadline_ms > 0.0
-                           ? verdict.arrival_ms + verdict.deadline_ms
-                           : 0.0;
-    item.sequence = sequence_.fetch_add(1);
-    // The handle copy pins the plan-cache entry (delta shapes live in
-    // the LRU like any entry; the pin keeps the replay safe past
-    // eviction) — the same steady-state prepared path as a solo frame.
-    item.work = [this, frame, promise, trace,
-                 result = std::move(result)]() mutable {
-        TraceRecorder* const rec =
-            trace.active() ? TraceRecorder::Global() : nullptr;
-        if (rec != nullptr) {
-            rec->RecordSpan(trace.ctx, "queue", "queue_wait",
-                            trace.arrival_ms, trace.start_ms,
-                            trace.wall_queued_us, rec->NowWallUs());
-            const double wall_begin = rec->NowWallUs();
-            {
-                ScopedTraceContext scoped(trace.ctx, trace.start_ms);
-                result.cost = cache_.Run(frame, &pool_);
-            }
-            const double wall_end = rec->NowWallUs();
-            rec->RecordSpan(trace.ctx, "service", "service",
-                            trace.start_ms, trace.completion_ms,
-                            wall_begin, wall_end);
-            TraceContext root_ctx;
-            root_ctx.trace_id = trace.ctx.trace_id;
-            root_ctx.parent_span = trace.root_parent;
-            rec->RecordSpan(root_ctx, "request", "request",
-                            trace.arrival_ms, trace.completion_ms,
-                            trace.wall_submit_us, wall_end,
-                            {TraceArg::Str("scene", result.scene)});
-        } else {
-            result.cost = cache_.Run(frame, &pool_);
-        }
-        completed_.fetch_add(1);
-        promise->set_value(std::move(result));
-    };
-    queue_.Push(std::move(item));
-    pool_.Enqueue([this] {
-        DispatchItem next;
-        if (queue_.Pop(&next)) next.work();
-    });
-    return Issue(std::move(future));
+    return ticket;
 }
 
 void
@@ -745,86 +584,50 @@ RenderService::FlushBatchLocked(std::list<OpenBatch>::iterator batch)
     }
     max_batch_seen_ = std::max(max_batch_seen_, elements);
 
-    if (closing.trace_ctx.active()) {
-        if (TraceRecorder* const recorder = TraceRecorder::Global()) {
-            // Flush lands in the opener's trace at the current clamped
-            // arrival clock (deterministic: arrivals drive flushes).
-            recorder->RecordInstant(
-                closing.trace_ctx, "batch", "batch_flush",
-                last_batch_arrival_ms_,
-                {TraceArg::Int("elements",
-                               static_cast<std::int64_t>(elements)),
-                 TraceArg::Str("scene", closing.scene)});
-        }
+    TraceRecorder* const recorder =
+        closing.trace_ctx.active() ? TraceRecorder::Global() : nullptr;
+    if (recorder != nullptr) {
+        // Flush lands in the opener's trace at the current clamped
+        // arrival clock (deterministic: arrivals drive flushes).
+        recorder->RecordInstant(
+            closing.trace_ctx, "batch", "batch_flush",
+            last_batch_arrival_ms_,
+            {TraceArg::Int("elements", static_cast<std::int64_t>(elements)),
+             TraceArg::Str("scene", closing.scene)});
     }
 
-    DispatchItem item;
-    // The batch dispatches at its most urgent member's priority and
-    // earliest absolute deadline: fusing must never make a request less
-    // urgent than it was admitted as.
-    item.priority = closing.max_priority;
-    item.deadline_ms = closing.min_abs_deadline_ms;
-    item.sequence = sequence_.fetch_add(1);
-    auto members = std::make_shared<std::vector<BatchMember>>(
-        std::move(closing.members));
-    item.work = [this, scene = closing.scene, frame = closing.frame,
-                 expected = closing.fused_cost, members, elements]() {
-        // One fused replay serves every member. The shape was executed
-        // when its estimation run prepared it (scene_registry.h), so
-        // this replay is memoized — the batched-mode invariant is
-        // "PlanCache frame hits == batches dispatched".
-        TraceRecorder* const rec =
-            !members->empty() && (*members)[0].trace.active()
-                ? TraceRecorder::Global()
-                : nullptr;
-        double wall_begin = 0.0;
-        double wall_end = 0.0;
-        FrameCost fused_cost;
-        if (rec != nullptr) {
-            wall_begin = rec->NowWallUs();
-            // The replay runs under the opener's context (one
-            // execution, many members): its plan-layer instants land
-            // in the opener's trace.
-            ScopedTraceContext scoped((*members)[0].trace.ctx,
-                                      (*members)[0].trace.start_ms);
-            fused_cost = cache_.Run(frame, &pool_);
-            wall_end = rec->NowWallUs();
-        } else {
-            fused_cost = cache_.Run(frame, &pool_);
-        }
-        FLEX_CHECK_MSG(fused_cost == expected,
-                       "fused batch replay diverged from its estimation "
-                       "run for scene '"
-                           << scene << "' (" << elements << " elements)");
-        for (BatchMember& member : *members) {
-            if (rec != nullptr && member.trace.active()) {
-                const RequestTrace& t = member.trace;
-                rec->RecordSpan(t.ctx, "queue", "queue_wait",
-                                t.arrival_ms, t.start_ms,
-                                t.wall_queued_us, wall_begin);
-                rec->RecordSpan(
-                    t.ctx, "service", "service", t.start_ms,
-                    t.completion_ms, wall_begin, wall_end,
+    // One fused replay serves every member. The shape was executed when
+    // its estimation run prepared it (scene_registry.h), so this replay
+    // is memoized — the batched-mode invariant is "PlanCache frame hits
+    // == batches dispatched". It runs under the opener's context (one
+    // execution, many members), so its plan-layer instants land in the
+    // opener's trace.
+    const double wall_begin = recorder != nullptr ? recorder->NowWallUs() : 0.0;
+    const FrameCost fused_cost =
+        Replay(cache_, pool_, closing.frame, closing.members.front().trace);
+    const double wall_end = recorder != nullptr ? recorder->NowWallUs() : 0.0;
+    FLEX_CHECK_MSG(fused_cost == closing.fused_cost,
+                   "fused batch replay diverged from its estimation run "
+                   "for scene '"
+                       << closing.scene << "' (" << elements
+                       << " elements)");
+    for (const BatchMember& member : closing.members) {
+        TraceServed(recorder, member.trace, closing.scene, wall_begin,
+                    wall_end,
                     {TraceArg::Int("batch_elements",
                                    static_cast<std::int64_t>(elements))});
-                TraceContext root_ctx;
-                root_ctx.trace_id = t.ctx.trace_id;
-                root_ctx.parent_span = t.root_parent;
-                rec->RecordSpan(
-                    root_ctx, "request", "request", t.arrival_ms,
-                    t.completion_ms, t.wall_submit_us, wall_end,
-                    {TraceArg::Str("scene", member.result.scene)});
-            }
-            member.result.batch_elements = elements;
-            completed_.fetch_add(1);
-            member.promise->set_value(std::move(member.result));
-        }
-    };
-    queue_.Push(std::move(item));
-    pool_.Enqueue([this] {
-        DispatchItem next;
-        if (queue_.Pop(&next)) next.work();
-    });
+    }
+    // Every member reports the scene's solo frame cost — the fused
+    // execution is an amortization of identical frames, not a different
+    // render — so per-request results are bit-identical to the
+    // unbatched path's (the check above covers the fused cost).
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (const BatchMember& member : closing.members) {
+        RenderResult& result = ledger_.At(member.ticket);
+        result.cost = closing.solo_cost;
+        result.batch_elements = elements;
+    }
+    completed_.fetch_add(elements);
 }
 
 bool
@@ -866,9 +669,8 @@ RenderService::FlushExpiredLocked(double arrival_ms)
 }
 
 void
-RenderService::FlushAllOpenBatches()
+RenderService::FlushAllOpenBatchesLocked()
 {
-    std::lock_guard<std::mutex> lock(batch_mutex_);
     while (!open_batches_.empty()) {
         FlushBatchLocked(open_batches_.begin());
     }
@@ -887,42 +689,23 @@ RenderResult
 RenderService::Wait(ServeTicket ticket)
 {
     // A waited ticket may ride a still-open batch whose window can only
-    // close on a later submission: flush every open batch so the caller
-    // never blocks on a window with nothing behind it.
-    FlushAllOpenBatches();
-    std::future<RenderResult> future;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        const auto it = inflight_.find(ticket);
-        FLEX_CHECK_MSG(it != inflight_.end(),
-                       "unknown or already-consumed serve ticket");
-        future = std::move(it->second);
-        inflight_.erase(it);
-    }
-    return HelpfulGet(pool_, future);
+    // close on a later submission: flush every open batch first. The
+    // batch lock stays held across the ledger read, so no batched
+    // Submit can reserve a slot in between that the read would see
+    // unfilled.
+    std::lock_guard<std::mutex> batch_lock(batch_mutex_);
+    FlushAllOpenBatchesLocked();
+    std::lock_guard<std::mutex> lock(mutex_);
+    return ledger_.Take(ticket);
 }
 
 std::vector<RenderResult>
 RenderService::WaitAll()
 {
-    FlushAllOpenBatches();
-    std::vector<std::pair<ServeTicket, std::future<RenderResult>>> drained;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        drained.reserve(inflight_.size());
-        for (auto& entry : inflight_) {
-            drained.emplace_back(entry.first, std::move(entry.second));
-        }
-        inflight_.clear();
-    }
-    std::sort(drained.begin(), drained.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    std::vector<RenderResult> results;
-    results.reserve(drained.size());
-    for (auto& entry : drained) {
-        results.push_back(HelpfulGet(pool_, entry.second));
-    }
-    return results;
+    std::lock_guard<std::mutex> batch_lock(batch_mutex_);
+    FlushAllOpenBatchesLocked();
+    std::lock_guard<std::mutex> lock(mutex_);
+    return ledger_.TakeAll();
 }
 
 ServiceStats

@@ -3,17 +3,20 @@
  * RenderService: the render-serving front-end over the plan layer.
  *
  * This is the repo's "millions of users" request path. A RenderService
- * owns a work-stealing ThreadPool, a shared (optionally bounded/LRU)
- * PlanCache, and one accelerator instance per registered scene, and
- * exposes a Submit(SceneRequest) -> ticket API in front of
- * BatchSession-style asynchronous execution:
+ * owns a shared (optionally bounded/LRU) PlanCache, one accelerator
+ * instance per registered scene, and a work-stealing ThreadPool used
+ * only for cold-compile fan-out, and exposes a Submit(SceneRequest) ->
+ * ticket API that resolves every request synchronously:
  *
  *   Submit ──> SceneRegistry (compile + pin prepared frame, first touch)
+ *          ──> pricing, one per submit path: solo estimate | batch
+ *               join-or-open marginal | session delta-vs-full
  *          ──> AdmissionController (queue-depth / deadline policy,
  *               critical-path latency estimator, virtual time)
- *          ──> DispatchQueue (priority desc, deadline asc)
- *          ──> ThreadPool worker: PlanCache::Run(prepared handle)
- *          ──> ticket future; LatencyHistogram telemetry
+ *          ──> Commit: RenderResult, counters, LatencyHistogram, trace;
+ *               an accepted request replays its prepared frame inline
+ *               (PlanCache::Run) — batch members at their batch's flush
+ *          ──> TicketLedger (serve/ticket_ledger.h); Wait/WaitAll read it
  *
  * Determinism contract (the repo-wide one, extended to serving): every
  * request's verdict, virtual latency, and FrameCost are fixed at
@@ -23,8 +26,8 @@
  * bench/serving prints to stderr) varies with --threads. The virtual
  * device is weighted-fair across SLO tiers (serve/admission.h):
  * SceneRequest::tier shapes verdicts and telemetry — deterministically,
- * because WFQ runs on the same virtual clock — while
- * SceneRequest::priority still orders wall-clock dispatch only.
+ * because WFQ runs on the same virtual clock. SceneRequest::priority is
+ * carried but does not affect service order (see its comment).
  *
  * Thread-safety: Submit/Wait/WaitAll/Snapshot may be called from any
  * thread. Concurrent Submits are admitted in an unspecified but
@@ -37,7 +40,6 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <future>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -51,8 +53,8 @@
 #include "plan/plan_cache.h"
 #include "runtime/thread_pool.h"
 #include "serve/admission.h"
-#include "serve/dispatch_queue.h"
 #include "serve/scene_registry.h"
+#include "serve/ticket_ledger.h"
 
 namespace flexnerfer {
 
@@ -71,11 +73,11 @@ struct SceneRequest {
      */
     std::size_t tier = 0;
     /**
-     * Larger values dispatch first on the worker pool. Priority
-     * affects wall-clock execution order only — verdict shaping is the
-     * tier's job (see `tier`), which keeps dispatch order free to
-     * chase wall-clock urgency without touching the deterministic
-     * virtual schedule.
+     * Client-assigned urgency, carried on the wire (serve/wire.h) but
+     * not affecting service order: every accepted request resolves
+     * before Submit returns (batch members at their batch's flush), so
+     * there is no dispatch order left to change. Verdict shaping is
+     * the tier's job (see `tier`).
      */
     int priority = 0;
     /** Deadline in model ms after arrival; 0 = tier default, then
@@ -292,7 +294,8 @@ struct ServiceStats {
 
 /** Configuration of a RenderService. */
 struct ServeConfig {
-    /** Worker threads (0 = hardware concurrency). */
+    /** Pool threads for cold-compile fan-out (0 = hardware
+     *  concurrency). */
     int threads = 0;
     /** PlanCache capacity in entries (0 = unbounded). Pinned scenes
      *  survive eviction; see plan/plan_cache.h. */
@@ -325,7 +328,8 @@ class RenderService
   public:
     explicit RenderService(const ServeConfig& config = {});
 
-    /** Drains all in-flight work before destruction. */
+    /** Flushes open batches (their fused-replay check and trace spans
+     *  still run) before destruction. */
     ~RenderService();
 
     RenderService(const RenderService&) = delete;
@@ -344,12 +348,13 @@ class RenderService
     FrameCost WarmScene(const std::string& scene);
 
     /**
-     * Submits one request — the unified entry point. Never blocks on
-     * rendering: rejected and shed requests resolve immediately;
-     * accepted requests resolve when a worker replays the scene's
-     * prepared frame. The first request against a cold scene
-     * additionally compiles it, on the submitting thread (WarmScene
-     * avoids that).
+     * Submits one request — the unified entry point. Resolves before
+     * returning: rejected and shed requests at once, accepted ones by
+     * replaying the scene's prepared frame (memoized) on the submitting
+     * thread. A batch member instead resolves when its batch flushes
+     * (window close, full batch, or a Wait/WaitAll). The first request
+     * against a cold scene additionally compiles it, on the submitting
+     * thread (WarmScene avoids that).
      *
      * @p options selects the path: default options reproduce the
      * legacy behavior exactly (batching when configured, no surcharge,
@@ -361,16 +366,6 @@ class RenderService
      */
     ServeTicket Submit(const SceneRequest& request,
                        const SubmitOptions& options = {});
-
-    /**
-     * Transitional shim for the pre-SubmitOptions signature; forwards
-     * to Submit(request, SubmitOptions{extra_service_ms}). Deliberately
-     * has no default argument (the unified overload owns the bare
-     * Submit(request) spelling) and lives one PR: migrate callers to
-     * SubmitOptions.
-     */
-    [[deprecated("pass SubmitOptions instead of a bare surcharge")]]
-    ServeTicket Submit(const SceneRequest& request, double extra_service_ms);
 
     /**
      * Opens a trajectory session for @p scene under @p model: a client
@@ -420,10 +415,12 @@ class RenderService
     bool ProbeBatchJoin(const std::string& scene, double arrival_ms,
                         double* marginal_est_ms);
 
-    /** Blocks until the ticket's request resolves; consumes the ticket. */
+    /** Flushes open batches, then returns the ticket's result and
+     *  consumes the ticket (fatal if unknown or already consumed). */
     RenderResult Wait(ServeTicket ticket);
 
-    /** Drains every outstanding ticket, in submission order. */
+    /** Flushes open batches, then consumes every outstanding ticket and
+     *  returns their results in ticket (submission) order. */
     std::vector<RenderResult> WaitAll();
 
     ServiceStats Snapshot() const;
@@ -455,14 +452,12 @@ class RenderService
     const LatencyHistogram& tier_latency_histogram(std::size_t tier) const;
 
   private:
-    /** One admitted request riding an open batch: its promise and the
-     *  result fixed at admission (batch_elements patched at flush). */
+    /** One admitted request riding an open batch: its reserved ledger
+     *  slot, filled at flush, and its trace bookkeeping (inactive when
+     *  tracing is off; spans are recorded at flush around the one fused
+     *  execution). */
     struct BatchMember {
-        std::shared_ptr<std::promise<RenderResult>> promise;
-        RenderResult result;
-        /** The member's trace bookkeeping (inactive when tracing is
-         *  off); per-member spans are recorded at flush around the one
-         *  fused execution. */
+        ServeTicket ticket = 0;
         RequestTrace trace;
     };
 
@@ -473,9 +468,8 @@ class RenderService
     struct OpenBatch {
         std::string scene;
         double close_ms = 0.0;  //!< opener's clamped arrival + window
-        int max_priority = 0;
-        /** Earliest member absolute deadline (0 = none yet). */
-        double min_abs_deadline_ms = 0.0;
+        /** The scene's solo frame cost: what every member reports. */
+        FrameCost solo_cost;
         FrameCost fused_cost;
         PlanCache::PreparedFrame frame;
         std::vector<BatchMember> members;
@@ -502,34 +496,40 @@ class RenderService
         double delta_savings_ms = 0.0;
     };
 
-    ServeTicket Issue(std::future<RenderResult> future);
-    /** The batching Submit path (batch_window_ms > 0). */
+    /** The batching Submit path (batch_window_ms > 0): prices the
+     *  join-or-open marginal. */
     ServeTicket SubmitBatched(const SceneRequest& request,
                               double extra_service_ms);
-    /** The trajectory Submit path (options.session != 0). */
+    /** The trajectory Submit path (options.session != 0): prices the
+     *  session's delta-vs-full coherence decision. */
     ServeTicket SubmitSession(const SceneRequest& request,
                               const SubmitOptions& options);
-    /** Enqueues one accepted request that replays @p frame (the
-     *  session path's dispatch; the solo path keeps its own inline
-     *  twin). The handle pins the plan-cache entry for the lambda's
-     *  lifetime. */
-    ServeTicket DispatchFrame(const SceneRequest& request,
-                              const PlanCache::PreparedFrame& frame,
-                              const AdmissionController::Verdict& verdict,
-                              RequestTrace trace, RenderResult result);
-    /** Dispatches @p batch as one fused execution (batch_mutex_ held). */
+    /**
+     * The one commit every submit path ends in. Builds the request's
+     * RenderResult from @p verdict and books the reject/shed or accept
+     * telemetry once: counters, latency histograms, trace instants
+     * (fixing @p trace's virtual schedule). An accepted request with a
+     * @p frame replays it inline and lands completed in the ledger; a
+     * batch member (@p frame null) reserves its slot for
+     * FlushBatchLocked to fill.
+     */
+    ServeTicket Commit(const SceneRequest& request,
+                       const AdmissionController::Verdict& verdict,
+                       double est_service_ms, RequestTrace& trace,
+                       const PlanCache::PreparedFrame* frame);
+    /** Runs @p batch as one fused replay and fills its members' ledger
+     *  slots (batch_mutex_ held). */
     void FlushBatchLocked(std::list<OpenBatch>::iterator batch);
-    /** Dispatches every open batch whose window closed by @p arrival_ms
+    /** Flushes every open batch whose window closed by @p arrival_ms
      *  (batch_mutex_ held; list order is window-close order). */
     void FlushExpiredLocked(double arrival_ms);
-    /** Dispatches every open batch (Wait/WaitAll force the flush so a
-     *  blocked caller never waits on a window that cannot close). */
-    void FlushAllOpenBatches();
+    /** Flushes every open batch (batch_mutex_ held). Wait/WaitAll force
+     *  it so no ticket they read still rides an open batch. */
+    void FlushAllOpenBatchesLocked();
 
     PlanCache cache_;
     SceneRegistry registry_;
     AdmissionController admission_;
-    DispatchQueue queue_;
     LatencyHistogram latency_;
     /** One histogram per resolved tier. A deque because histograms are
      *  neither copyable nor movable (they own a mutex): deque
@@ -538,11 +538,11 @@ class RenderService
 
     std::atomic<std::uint64_t> submitted_{0};
     std::atomic<std::uint64_t> completed_{0};
-    std::atomic<std::uint64_t> sequence_{0};
 
-    mutable std::mutex mutex_;
-    ServeTicket next_ticket_ = 0;
-    std::unordered_map<ServeTicket, std::future<RenderResult>> inflight_;
+    /** Guards ledger_. Lock order: batch_mutex_ or session_mutex_
+     *  first, then this. */
+    std::mutex mutex_;
+    TicketLedger<RenderResult> ledger_;
 
     /** Batch-fusion state (ServeConfig::batch_window_ms). batch_mutex_
      *  serializes the whole join-or-open decision with its Admit call,
@@ -572,8 +572,6 @@ class RenderService
     std::unordered_map<SessionId, Session> sessions_;
     std::vector<SessionId> session_order_;  //!< open order (snapshots)
 
-    /** Declared last so it is destroyed first: its destructor drains
-     *  pending drain tasks, which reference the members above. */
     ThreadPool pool_;
 };
 

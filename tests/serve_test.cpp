@@ -1,9 +1,10 @@
 /**
  * @file
  * Unit tests for the serving front-end: LatencyHistogram percentiles vs
- * exact sorted quantiles, admission accept/reject/shed paths, the
- * priority dispatch order, per-scene prepared-frame reuse, and a
- * multi-threaded soak of the whole RenderService (TSan/ASan target).
+ * exact sorted quantiles, admission accept/reject/shed paths and input
+ * validation, per-scene prepared-frame reuse, the ticket ledger behind
+ * Wait/WaitAll (service and cluster), and a multi-threaded soak of the
+ * whole RenderService (TSan/ASan target).
  */
 #include <gtest/gtest.h>
 
@@ -24,7 +25,7 @@
 #include "runtime/sweep_runner.h"
 #include "runtime/thread_pool.h"
 #include "serve/admission.h"
-#include "serve/dispatch_queue.h"
+#include "serve/cluster.h"
 #include "serve/render_service.h"
 #include "serve/scene_registry.h"
 #include "frame_cost_matchers.h"
@@ -352,6 +353,23 @@ TEST(AdmissionController, TierDefaultsResolveDeadlinesAndCapDepth)
     EXPECT_DEATH(admission.Admit(0.0, 1.0, 0.0, 7), "out of range");
 }
 
+TEST(AdmissionController, RejectsNonFiniteArrivalAndDeadline)
+{
+    // A NaN deadline would otherwise skip every default deadline (NaN
+    // compares false both ways) and a NaN arrival would survive the
+    // monotone clamp into the fluid drain: both are fatal instead.
+    AdmissionController admission;
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    EXPECT_DEATH(admission.Admit(nan, 1.0), "non-finite arrival");
+    EXPECT_DEATH(admission.Admit(inf, 1.0), "non-finite arrival");
+    EXPECT_DEATH(admission.Admit(0.0, 1.0, nan), "non-finite arrival");
+    EXPECT_DEATH(admission.Probe(nan, 1.0), "non-finite arrival");
+    EXPECT_DEATH(admission.Probe(inf, 1.0), "non-finite arrival");
+    EXPECT_DEATH(admission.Probe(0.0, 1.0, nan), "non-finite arrival");
+    EXPECT_EQ(admission.counters().tiers[0].submitted, 0u);
+}
+
 TEST(AdmissionController, WfqShieldsPaidTierFromLowTierFlood)
 {
     // The starvation regression: a sustained 2x-overload flood of
@@ -404,32 +422,6 @@ TEST(AdmissionController, WfqShieldsPaidTierFromLowTierFlood)
     // WFQ is work-conserving, not capacity-reserving: the flood still
     // gets served, it just cannot displace paid work.
     EXPECT_GT(wfq.counters().tiers[1].accepted, 0u);
-}
-
-TEST(DispatchQueue, PopsByPriorityThenDeadlineThenSequence)
-{
-    DispatchQueue queue;
-    std::vector<int> ran;
-    const auto push = [&queue, &ran](int id, int priority,
-                                     double deadline, std::uint64_t seq) {
-        DispatchItem item;
-        item.priority = priority;
-        item.deadline_ms = deadline;
-        item.sequence = seq;
-        item.work = [&ran, id] { ran.push_back(id); };
-        queue.Push(std::move(item));
-    };
-    push(0, 0, 0.0, 0);    // low prio, no deadline
-    push(1, 2, 50.0, 1);   // high prio, late deadline
-    push(2, 2, 10.0, 2);   // high prio, urgent deadline -> first
-    push(3, 0, 5.0, 3);    // low prio, urgent deadline
-    push(4, 0, 0.0, 4);    // low prio, no deadline, later sequence
-
-    EXPECT_EQ(queue.size(), 5u);
-    DispatchItem item;
-    while (queue.Pop(&item)) item.work();
-    EXPECT_EQ(ran, (std::vector<int>{2, 1, 3, 0, 4}));
-    EXPECT_FALSE(queue.Pop(&item));
 }
 
 TEST(SceneRegistry, FirstTouchPreparesLaterTouchesReplay)
@@ -697,6 +689,134 @@ TEST(RenderService, SnapshotIsZeroSafeWhenNothingWasAccepted)
     EXPECT_EQ(stats.sustained_qps, 0.0);
     EXPECT_EQ(stats.utilization, 0.0);
     EXPECT_EQ(stats.p50_ms, 0.0);
+}
+
+/** Submits @p count back-to-back requests at t = 0: request i waits
+ *  behind i others, so its queue wait names its ticket. */
+std::vector<ServeTicket>
+SubmitBackToBack(RenderService& service, int count)
+{
+    std::vector<ServeTicket> tickets;
+    for (int i = 0; i < count; ++i) {
+        SceneRequest request;
+        request.scene = "ngp";
+        tickets.push_back(service.Submit(request));
+    }
+    return tickets;
+}
+
+TEST(RenderService, LedgerServesWaitsOutOfOrderAndDrainsRestInOrder)
+{
+    ServeConfig config;
+    config.threads = 2;
+    RenderService service(config);
+    service.RegisterScene("ngp", NgpFlexScene());
+    const double est = EstimatedServiceMs(service.WarmScene("ngp"));
+    const std::vector<ServeTicket> tickets = SubmitBackToBack(service, 6);
+
+    EXPECT_DOUBLE_EQ(service.Wait(tickets[4]).queue_wait_ms, 4.0 * est);
+    EXPECT_DOUBLE_EQ(service.Wait(tickets[0]).queue_wait_ms, 0.0);
+    EXPECT_DOUBLE_EQ(service.Wait(tickets[2]).queue_wait_ms, 2.0 * est);
+    const std::vector<RenderResult> rest = service.WaitAll();
+    ASSERT_EQ(rest.size(), 3u);
+    EXPECT_DOUBLE_EQ(rest[0].queue_wait_ms, 1.0 * est);
+    EXPECT_DOUBLE_EQ(rest[1].queue_wait_ms, 3.0 * est);
+    EXPECT_DOUBLE_EQ(rest[2].queue_wait_ms, 5.0 * est);
+    EXPECT_TRUE(service.WaitAll().empty());
+
+    // Tickets keep counting past a drained ledger.
+    const ServeTicket next = service.Submit(SceneRequest{"ngp"});
+    EXPECT_EQ(next, tickets.back() + 1);
+    EXPECT_EQ(service.Wait(next).status, RequestStatus::kCompleted);
+}
+
+TEST(RenderService, LedgerConsumesEachTicketOnce)
+{
+    // The service owns pool threads: re-exec rather than fork them.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    ServeConfig config;
+    config.threads = 1;
+    RenderService service(config);
+    service.RegisterScene("ngp", NgpFlexScene());
+    const std::vector<ServeTicket> tickets = SubmitBackToBack(service, 2);
+    service.Wait(tickets[1]);
+    EXPECT_DEATH(service.Wait(tickets[1]), "already-consumed");
+    service.Wait(tickets[0]);
+    EXPECT_DEATH(service.Wait(tickets[0]), "already-consumed");
+    EXPECT_DEATH(service.Wait(tickets[1] + 1), "already-consumed");
+}
+
+TEST(RenderService, SoloRequestsCompleteBeforeSubmitReturns)
+{
+    ServeConfig config;
+    config.threads = 2;
+    RenderService service(config);
+    service.RegisterScene("ngp", NgpFlexScene());
+    service.WarmScene("ngp");
+    SubmitBackToBack(service, 5);
+
+    // No Wait yet: every accepted request already replayed its frame.
+    const ServiceStats stats = service.Snapshot();
+    EXPECT_EQ(stats.accepted, 5u);
+    EXPECT_EQ(stats.completed, stats.accepted);
+    EXPECT_EQ(stats.cache.frame_hits, stats.accepted);
+}
+
+TEST(RenderService, WaitOnBatchMemberFlushesItsBatch)
+{
+    ServeConfig config;
+    config.threads = 2;
+    config.batch_window_ms = 1e9;  // only a Wait can close it
+    RenderService service(config);
+    service.RegisterScene("ngp", NgpFlexScene());
+    const FrameCost solo = service.WarmScene("ngp");
+    const std::vector<ServeTicket> tickets = SubmitBackToBack(service, 3);
+
+    EXPECT_EQ(service.Snapshot().completed, 0u);
+    EXPECT_EQ(service.Snapshot().batches_dispatched, 0u);
+    const RenderResult middle = service.Wait(tickets[1]);
+    EXPECT_EQ(middle.status, RequestStatus::kCompleted);
+    EXPECT_EQ(middle.batch_elements, 3u);
+    ExpectBitIdentical(middle.cost, solo);
+
+    const ServiceStats stats = service.Snapshot();
+    EXPECT_EQ(stats.batches_dispatched, 1u);
+    EXPECT_EQ(stats.completed, 3u);
+    const std::vector<RenderResult> rest = service.WaitAll();
+    ASSERT_EQ(rest.size(), 2u);
+    for (const RenderResult& result : rest) {
+        EXPECT_EQ(result.batch_elements, 3u);
+        ExpectBitIdentical(result.cost, solo);
+    }
+    EXPECT_LT(rest[0].latency_ms, rest[1].latency_ms);
+}
+
+TEST(ShardedRenderService, LedgerKeepsTicketOrderAcrossWaitAndWaitAll)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    ClusterConfig config;
+    config.shards = 2;
+    config.threads_per_shard = 1;
+    config.enable_spill = false;
+    ShardedRenderService cluster(config);
+    cluster.RegisterScene("ngp", NgpFlexScene());
+    const double est = EstimatedServiceMs(cluster.WarmScene("ngp"));
+    std::vector<ClusterTicket> tickets;
+    for (int i = 0; i < 5; ++i) {
+        SceneRequest request;
+        request.scene = "ngp";
+        tickets.push_back(cluster.Submit(request));
+    }
+
+    EXPECT_DOUBLE_EQ(cluster.Wait(tickets[3]).result.queue_wait_ms,
+                     3.0 * est);
+    EXPECT_DOUBLE_EQ(cluster.Wait(tickets[1]).result.queue_wait_ms, est);
+    EXPECT_DEATH(cluster.Wait(tickets[1]), "already-consumed");
+    const std::vector<ClusterRenderResult> rest = cluster.WaitAll();
+    ASSERT_EQ(rest.size(), 3u);
+    EXPECT_DOUBLE_EQ(rest[0].result.queue_wait_ms, 0.0);
+    EXPECT_DOUBLE_EQ(rest[1].result.queue_wait_ms, 2.0 * est);
+    EXPECT_DOUBLE_EQ(rest[2].result.queue_wait_ms, 4.0 * est);
 }
 
 TEST(RenderService, MultiThreadedSoakKeepsEveryInvariant)

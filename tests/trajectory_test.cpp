@@ -6,8 +6,8 @@
  * keyed delta path (including the race between delta lookups and LRU
  * eviction — satellite pin semantics), the unified
  * Accelerator::Estimate entry point vs the inline estimators, the
- * unified Submit(request, SubmitOptions) API and its one-PR deprecated
- * shim, trajectory sessions through RenderService (delta pricing,
+ * unified Submit(request, SubmitOptions) API's defaults, trajectory
+ * sessions through RenderService (delta pricing,
  * coherence-break fallback, thread-count determinism), and sticky
  * sessions on the sharded cluster (home routing and KillShard
  * re-homing).
@@ -232,13 +232,11 @@ TEST(Accelerator, UnifiedEstimateMatchesTheInlineEstimators)
     EXPECT_DOUBLE_EQ(taxed.savings_ms, priced.savings_ms);
 }
 
-TEST(RenderService, UnifiedSubmitMatchesDefaultsAndDeprecatedShim)
+TEST(RenderService, UnifiedSubmitDefaultsMatchExplicitOptions)
 {
-    // Submit(request), Submit(request, SubmitOptions{}), and the
-    // one-PR deprecated surcharge shim must produce byte-identical
-    // verdicts — the API redesign changes the signature, not a single
-    // admitted millisecond.
-    const auto run = [](int variant) {
+    // Submit(request) and Submit(request, SubmitOptions{}) must produce
+    // byte-identical verdicts: default options are the plain path.
+    const auto run = [](bool explicit_options) {
         ServeConfig config;
         config.threads = 2;
         RenderService service(config);
@@ -248,37 +246,24 @@ TEST(RenderService, UnifiedSubmitMatchesDefaultsAndDeprecatedShim)
             SceneRequest request;
             request.scene = "ngp";
             request.arrival_ms = 0.6 * est * i;
-            request.deadline_ms = 2.0 * est + 9.0;
-            if (variant == 0) {
-                SubmitOptions options;
-                options.extra_service_ms = 9.0;
-                service.Submit(request, options);
-            } else if (variant == 1) {
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-                service.Submit(request, 9.0);
-#pragma GCC diagnostic pop
+            request.deadline_ms = 2.0 * est;
+            if (explicit_options) {
+                service.Submit(request, SubmitOptions{});
             } else {
-                request.deadline_ms = 2.0 * est;
                 service.Submit(request);
             }
         }
-        std::vector<RenderResult> results = service.WaitAll();
-        return results;
+        return service.WaitAll();
     };
 
-    const std::vector<RenderResult> options_run = run(0);
-    const std::vector<RenderResult> shim_run = run(1);
-    ASSERT_EQ(options_run.size(), shim_run.size());
-    for (std::size_t i = 0; i < options_run.size(); ++i) {
-        EXPECT_EQ(options_run[i].status, shim_run[i].status) << i;
-        EXPECT_DOUBLE_EQ(options_run[i].latency_ms, shim_run[i].latency_ms)
+    const std::vector<RenderResult> explicit_run = run(true);
+    const std::vector<RenderResult> default_run = run(false);
+    ASSERT_EQ(explicit_run.size(), default_run.size());
+    for (std::size_t i = 0; i < explicit_run.size(); ++i) {
+        EXPECT_EQ(explicit_run[i].status, default_run[i].status) << i;
+        EXPECT_EQ(explicit_run[i].latency_ms, default_run[i].latency_ms)
             << i;
     }
-    // Default options are the legacy single-argument path exactly: the
-    // un-surcharged run admits on the same schedule shape.
-    const std::vector<RenderResult> bare_run = run(2);
-    EXPECT_EQ(bare_run.size(), options_run.size());
 }
 
 /** Replays a fixed pose path through a fresh service; returns results
