@@ -44,6 +44,8 @@ GridField::GridField(const Config& config, Rng& rng)
 {
     FLEX_CHECK_MSG(config_.grid.features == 4,
                    "GridField needs 4 features per level (sigma + RGB)");
+    FLEX_CHECK_MSG(config_.grid.levels <= kMaxLevels,
+                   "GridField supports at most " << kMaxLevels << " levels");
 }
 
 void
@@ -52,7 +54,8 @@ GridField::Query(const Vec3& pos, const Vec3& dir, double* sigma,
 {
     (void)dir;  // the grid field is view-independent, like NGP's density
     FLEX_CHECK(sigma != nullptr && rgb != nullptr);
-    const std::vector<double> feats = grid_.Query(pos);
+    double feats[kMaxLevels * 4] = {};
+    grid_.QueryInto(pos, feats, nullptr);
     double raw[4] = {0.0, 0.0, 0.0, 0.0};
     for (int level = 0; level < grid_.levels(); ++level) {
         for (int c = 0; c < 4; ++c) {
@@ -95,29 +98,32 @@ GridField::Fit(const RadianceField& target, int n_points, int epochs,
     }
 
     std::vector<double>& params = grid_.parameters();
-    std::vector<std::vector<HashGrid::Tap>> taps;
+    const int levels = grid_.levels();
+    std::vector<double> feats(grid_.OutputDim());
+    std::vector<HashGrid::LevelTaps> taps(levels);
     std::vector<int> order(n_points);
     for (int i = 0; i < n_points; ++i) order[i] = i;
 
     auto epoch_rmse = [&](bool update) {
         double sq_err = 0.0;
         for (int idx : order) {
-            const std::vector<double> feats =
-                grid_.QueryWithTaps(positions[idx], &taps);
-            // Aggregate per channel across levels; the tap lists let us
-            // push the residual gradient straight into the table entries.
+            grid_.QueryInto(positions[idx], feats.data(),
+                            update ? taps.data() : nullptr);
+            // Aggregate per channel across levels; the taps let us push
+            // the residual gradient straight into the table entries.
             double raw[4] = {0.0, 0.0, 0.0, 0.0};
-            for (int level = 0; level < grid_.levels(); ++level) {
+            for (int level = 0; level < levels; ++level) {
                 for (int c = 0; c < 4; ++c) raw[c] += feats[level * 4 + c];
             }
             for (int c = 0; c < 4; ++c) {
                 const double err = raw[c] - targets[idx][c];
                 sq_err += err * err;
                 if (!update) continue;
-                for (int level = 0; level < grid_.levels(); ++level) {
-                    for (const HashGrid::Tap& tap : taps[level * 4 + c]) {
-                        params[tap.parameter] -=
-                            learning_rate * err * tap.weight;
+                for (int level = 0; level < levels; ++level) {
+                    const HashGrid::LevelTaps& t = taps[level];
+                    for (int k = 0; k < t.count; ++k) {
+                        params[t.base[k] + c] -=
+                            learning_rate * err * t.weight[k];
                     }
                 }
             }

@@ -25,6 +25,9 @@ namespace flexnerfer {
 class GridField : public RadianceField
 {
   public:
+    /** Upper bound on grid levels (sizes GridField::Query's buffer). */
+    static constexpr int kMaxLevels = 32;
+
     struct Config {
         HashGrid::Config grid;
         double sigma_scale = 60.0;  //!< max representable density scale

@@ -13,6 +13,22 @@
  * The structure also gathers the statistics the HEE hardware exploits:
  * coalescable lookups (several corners sharing a hash index at coarse
  * levels) and subgrid locality at fine levels.
+ *
+ * Level table: the constructor computes every per-level fact once —
+ * resolution, dense flag, dense stride (N_l + 1), parameter offset and,
+ * for hashed levels, the hash mask. A hashed level holds exactly
+ * 2^log2_table entries, so its index is `hash & mask`. Queries only read
+ * the table.
+ *
+ * Tap order: QueryInto is the one query kernel; Query and QueryWithTaps
+ * wrap it. At each level it visits the 8 corners in order
+ * (corner = dx | dy << 1 | dz << 2), skips corners of trilinear weight
+ * exactly 0 (clamped or lattice-aligned positions), and adds
+ * w * entry[f] into each feature in that order. The per-level taps list
+ * the surviving corners in the same order; the SGD fitter
+ * (nerf/field_fit.h) applies its updates channel -> level -> corner over
+ * them. Results depend on both orders bit for bit, and
+ * GridField.FitAndRenderBitsMatchSeed in tests/nerf_test.cpp pins them.
  */
 #ifndef FLEXNERFER_NERF_HASH_ENCODING_H_
 #define FLEXNERFER_NERF_HASH_ENCODING_H_
@@ -62,9 +78,26 @@ class HashGrid
     HashGrid(const Config& config, Rng& rng);
 
     /**
-     * Interpolated feature vector at @p pos: levels * features values,
-     * level-major. Positions outside the bounding box are clamped.
+     * The corners one level's features were interpolated from: @c count
+     * entries in corner order, zero-weight corners skipped. Feature f of
+     * tap k lives at parameters()[base[k] + f].
      */
+    struct LevelTaps {
+        std::size_t base[8] = {};  //!< flat index of the entry's feature 0
+        double weight[8] = {};     //!< trilinear interpolation weight
+        int count = 0;
+    };
+
+    /**
+     * The query kernel. Writes the interpolated feature vector at @p pos
+     * (OutputDim() values, level-major) to @p out and, if @p taps is
+     * non-null, the corner taps of every level to taps[0..levels()).
+     * Positions outside the bounding box are clamped; a non-finite
+     * position is a checked error. Allocates nothing.
+     */
+    void QueryInto(const Vec3& pos, double* out, LevelTaps* taps) const;
+
+    /** QueryInto into a fresh vector. */
     std::vector<double> Query(const Vec3& pos) const;
 
     /**
@@ -99,17 +132,25 @@ class HashGrid
     const Config& config() const { return config_; }
 
   private:
-    /** Flat parameter index of (level, entry, feature). */
-    std::size_t ParameterIndex(int level, std::size_t entry, int f) const;
+    /** Per-level facts, computed once by the constructor. */
+    struct Level {
+        int resolution;         //!< N_l
+        bool dense;             //!< (N_l + 1)^3 corners fit the table
+        std::int64_t stride;    //!< N_l + 1, the dense row length
+        std::size_t offset;     //!< into parameters_
+        std::uint64_t mask;     //!< entries - 1 (hashed levels)
+    };
 
-    /** Table entry index of a corner at a level (dense or hashed). */
-    std::size_t EntryIndex(int level, std::int64_t ix, std::int64_t iy,
-                           std::int64_t iz) const;
+    /** Position mapped into the unit cube, clamped; checks finiteness. */
+    Vec3 ToUnit(const Vec3& pos) const;
+
+    /** Table entry index of a (clamped) corner at a level. */
+    static std::size_t EntryIndex(const Level& level, std::int64_t ix,
+                                  std::int64_t iy, std::int64_t iz);
 
     Config config_;
     std::vector<double> parameters_;
-    std::vector<std::size_t> level_offsets_;  //!< into parameters_
-    std::vector<std::size_t> level_entries_;  //!< entries per level
+    std::vector<Level> levels_;
 };
 
 }  // namespace flexnerfer

@@ -15,11 +15,12 @@ Renderer::Render(const RadianceField& field, const Camera& camera,
     const std::vector<double> ts = StratifiedSamples(
         config_.t_near, config_.t_far, config_.samples_per_ray, nullptr);
 
+    std::vector<RaySample> samples;
+    samples.reserve(ts.size());
     for (int y = 0; y < camera.height(); ++y) {
         for (int x = 0; x < camera.width(); ++x) {
             const Ray ray = camera.GenerateRay(x, y);
-            std::vector<RaySample> samples;
-            samples.reserve(ts.size());
+            samples.clear();
             for (double t : ts) {
                 RaySample s;
                 s.t = t;

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "common/rng.h"
 #include "nerf/field_fit.h"
@@ -171,6 +172,72 @@ TEST(HashGrid, TapsReconstructQuery)
         EXPECT_NEAR(rebuilt, feats[i], 1e-12);
         EXPECT_NEAR(weight_sum, 1.0, 1e-9);  // trilinear partition of unity
     }
+}
+
+TEST(HashGrid, TapsSkipZeroWeightsAndClamp)
+{
+    // Growth 2 gives resolutions 4, 8, 16, 32: two dense levels, two
+    // hashed ones, and unit coordinates 0.25 / 0.75 land on lattice
+    // points at every level.
+    Rng rng(7);
+    const HashGrid grid({4, 10, 3, 4, 2.0, -1.0, 1.0, 0.1}, rng);
+    ASSERT_TRUE(grid.IsDenseLevel(1));
+    ASSERT_FALSE(grid.IsDenseLevel(2));
+    const int features = grid.features();
+
+    // A lattice-aligned position, and both clamp faces of the box, keep
+    // exactly one corner per level, of weight 1.
+    const Vec3 aligned{-0.5, 0.5, -0.5};
+    for (const Vec3& p : {aligned, Vec3{-1.0, -1.0, -1.0},
+                          Vec3{1.0, 1.0, 1.0}}) {
+        std::vector<double> feats(grid.OutputDim());
+        std::vector<HashGrid::LevelTaps> taps(grid.levels());
+        grid.QueryInto(p, feats.data(), taps.data());
+        EXPECT_EQ(feats, grid.Query(p));
+        for (int level = 0; level < grid.levels(); ++level) {
+            ASSERT_EQ(taps[level].count, 1) << "level " << level;
+            EXPECT_EQ(taps[level].weight[0], 1.0);
+            for (int f = 0; f < features; ++f) {
+                EXPECT_EQ(feats[level * features + f],
+                          grid.parameters()[taps[level].base[0] + f]);
+            }
+        }
+    }
+
+    // Outside the box clamps to the boundary point's features, bit for
+    // bit, per axis.
+    EXPECT_EQ(grid.Query({-5.0, -1.5, -1.0}), grid.Query({-1.0, -1.0, -1.0}));
+    EXPECT_EQ(grid.Query({3.0, 1.0, 9.0}), grid.Query({1.0, 1.0, 1.0}));
+    EXPECT_EQ(grid.Query({-2.0, 0.3, 7.0}), grid.Query({-1.0, 0.3, 1.0}));
+}
+
+TEST(HashGridDeath, RejectsNonFinitePosition)
+{
+    Rng rng(8);
+    const HashGrid grid({4, 10, 2, 4, 1.6, -1.0, 1.0, 0.1}, rng);
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    EXPECT_DEATH(grid.Query({nan, 0.0, 0.0}), "non-finite");
+    EXPECT_DEATH(grid.Query({0.0, inf, 0.0}), "non-finite");
+    EXPECT_DEATH(grid.Query({0.0, 0.0, -inf}), "non-finite");
+    HashAccessStats stats;
+    EXPECT_DEATH(grid.CountAccesses({nan, 0.0, 0.0}, &stats), "non-finite");
+}
+
+TEST(HashGridDeath, RejectsConfigsTheLevelTableCannotHold)
+{
+    const auto make = [](int log2_table, int base_resolution,
+                         double growth) {
+        Rng rng(9);
+        const HashGrid grid(
+            {4, log2_table, 2, base_resolution, growth, -1.0, 1.0, 0.1}, rng);
+        return grid.Query({0.1, 0.2, 0.3}).size();
+    };
+    EXPECT_EQ(make(1, 1, 1.0), 8u);  // smallest legal table and grid
+    EXPECT_DEATH(make(0, 4, 1.6), "log2_table");
+    EXPECT_DEATH(make(31, 4, 1.6), "log2_table");
+    EXPECT_DEATH(make(10, 0, 1.6), "base_resolution");
+    EXPECT_DEATH(make(10, 4, 0.9), "growth");
 }
 
 TEST(HashGrid, AccessStatsCountEightCornersPerLevel)
@@ -449,6 +516,35 @@ TEST(GridField, FitReducesErrorAndRendersScene)
     const Image ref = renderer.Render(target, cam);
     const Image fit = renderer.Render(field, cam);
     EXPECT_GT(Psnr(ref, fit), 14.0);
+}
+
+TEST(GridField, FitAndRenderBitsMatchSeed)
+{
+    // Pins the exact bits of a tiny fit and render. Each feature sums its
+    // corners in corner order, and the SGD update runs channel -> level ->
+    // corner; a reordering that is mathematically equivalent still moves
+    // these values. Resolutions 1, 1, 2, 4 over an 8-entry table give two
+    // dense levels and two hashed ones whose cell corners alias often, so
+    // the update order within a level shows too.
+    Rng rng(13);
+    GridField::Config config;
+    config.grid = {4, 3, 4, 1, 1.6, -1.5, 1.5, 1e-2};
+    GridField field(config, rng);
+    const auto report =
+        field.Fit(ProceduralScene::Lego(), 200, 2, 0.08, rng);
+    EXPECT_EQ(report.initial_rmse, 0x1.662b1766e4a4fp+2);
+    EXPECT_EQ(report.final_rmse, 0x1.70965d54971b3p+0);
+
+    Renderer renderer({16, 1.5, 4.8, 1.0, {1.0, 1.0, 1.0}});
+    Camera cam({6, 6, 50.0, {0.0, 0.3, 3.0}, {0.0, 0.0, 0.0},
+                {0.0, 1.0, 0.0}});
+    const Image img = renderer.Render(field, cam);
+    EXPECT_EQ(img.at(2, 2).x, 0x1.e28b6a9444dcfp-1);
+    EXPECT_EQ(img.at(2, 2).y, 0x1.dfdf6bfc786dp-1);
+    EXPECT_EQ(img.at(2, 2).z, 0x1.d7b012f1ad29p-1);
+    EXPECT_EQ(img.at(4, 3).x, 0x1.eb5dc8dcf00f7p-1);
+    EXPECT_EQ(img.at(4, 3).y, 0x1.eae750f8adecep-1);
+    EXPECT_EQ(img.at(4, 3).z, 0x1.e9909e484526p-1);
 }
 
 TEST(GridField, Int16QuantizationIsNearlyLossless)
