@@ -14,7 +14,6 @@
 #include "nerf/hash_encoding.h"
 #include "nerf/image.h"
 #include "nerf/mlp.h"
-#include "nerf/nerf_pipeline.h"
 #include "nerf/positional_encoding.h"
 #include "nerf/quantization.h"
 #include "nerf/ray.h"
@@ -569,63 +568,6 @@ TEST(GridField, Int16QuantizationIsNearlyLossless)
     q4.QuantizeTables(Precision::kInt4);
     const Image i4 = renderer.Render(q4, cam);
     EXPECT_LT(Psnr(fp, i4), Psnr(fp, i16));
-}
-
-TEST(VanillaNerf, FieldProducesValidOutputs)
-{
-    Rng rng(20);
-    VanillaNerfField::Config config;
-    config.mlp = {0, {32, 32}, 4, 0.05, 0.4, 2.5};
-    const VanillaNerfField field(config, rng);
-    Rng probe(21);
-    for (int i = 0; i < 200; ++i) {
-        const Vec3 p{probe.Uniform(-1, 1), probe.Uniform(-1, 1),
-                     probe.Uniform(-1, 1)};
-        double sigma;
-        Vec3 rgb;
-        field.Query(p, Vec3{0, 0, 1}, &sigma, &rgb);
-        EXPECT_GE(sigma, 0.0);
-        EXPECT_GT(rgb.x, 0.0);
-        EXPECT_LT(rgb.x, 1.0);
-    }
-}
-
-TEST(VanillaNerf, ApproximateEncodingTracksExactRender)
-{
-    // Section 5.2.1: the PEE's Eq. 5/6 approximation preserves rendering
-    // quality. Render the same MLP field with both encodings.
-    Rng rng(22);
-    VanillaNerfField::Config config;
-    config.mlp = {0, {32}, 4, 0.05, 0.3, 2.0};
-    VanillaNerfField field(config, rng);
-
-    Renderer renderer({24, 1.5, 4.5, 1.0, {1.0, 1.0, 1.0}});
-    Camera cam({24, 24, 50.0, {0.0, 0.0, 3.0}, {0.0, 0.0, 0.0},
-                {0.0, 1.0, 0.0}});
-    const Image exact = renderer.Render(field, cam);
-    field.set_approximate_encoding(true);
-    const Image approx = renderer.Render(field, cam);
-    EXPECT_GT(Psnr(exact, approx), 22.0);
-}
-
-TEST(VanillaNerf, QuantizedInferencePathRenders)
-{
-    Rng rng(23);
-    VanillaNerfField::Config config;
-    config.mlp = {0, {32, 32}, 4, 0.05, 0.4, 2.5};
-    VanillaNerfField field(config, rng);
-
-    Renderer renderer({16, 1.5, 4.5, 1.0, {1.0, 1.0, 1.0}});
-    Camera cam({16, 16, 50.0, {0.0, 0.0, 3.0}, {0.0, 0.0, 0.0},
-                {0.0, 1.0, 0.0}});
-    const Image fp = renderer.Render(field, cam);
-
-    field.set_quantization(true, Precision::kInt16);
-    const Image q16 = renderer.Render(field, cam);
-    field.set_quantization(true, Precision::kInt4);
-    const Image q4 = renderer.Render(field, cam);
-    EXPECT_GT(Psnr(fp, q16), 30.0);
-    EXPECT_GT(Psnr(fp, q16), Psnr(fp, q4));
 }
 
 }  // namespace

@@ -20,7 +20,6 @@
 #include "plan/frame_planner.h"
 #include "plan/gemm_memo.h"
 #include "plan/plan_cache.h"
-#include "runtime/batch_session.h"
 #include "runtime/sweep_runner.h"
 #include "runtime/thread_pool.h"
 #include "frame_cost_matchers.h"
@@ -212,11 +211,6 @@ TEST(PlanCache, PreparedFramesReplayBitIdentically)
     // Keyed and prepared paths share one result memo.
     ExpectBitIdentical(cache.Run(model, w), model.RunWorkload(w));
     EXPECT_EQ(cache.stats().frame_hits, 3u);
-
-    // Prepared frames also drive the serving front-end.
-    BatchSession session(model, pool, &cache);
-    const BatchTicket ticket = session.EnqueueFrame(flex_frame);
-    ExpectBitIdentical(session.Wait(ticket), model.RunWorkload(w));
 }
 
 TEST(PlanCache, ConcurrentHitMissStress)
@@ -361,24 +355,16 @@ TEST(PlanCache, UnboundedByDefaultNeverEvicts)
     EXPECT_EQ(cache.stats().evictions, 0u);
 }
 
-TEST(PlanCache, ServesSweepRunnerAndBatchSession)
+TEST(PlanCache, ServesSweepRunner)
 {
-    // One shared cache behind both runtime front-ends: outcomes stay
-    // identical to the uncached paths.
+    // A cached sweep revisiting the same point replays identically to
+    // the uncached path.
     ThreadPool pool(4);
     PlanCache cache;
     const FlexNeRFerModel model;
-    const NerfWorkload w = BuildWorkload("Instant-NGP");
-    const FrameCost reference = model.RunWorkload(w);
+    const FrameCost reference =
+        model.RunWorkload(BuildWorkload("Instant-NGP"));
 
-    BatchSession session(model, pool, &cache);
-    for (int i = 0; i < 8; ++i) session.EnqueueFrame(w);
-    for (const FrameCost& cost : session.WaitAll()) {
-        ExpectBitIdentical(cost, reference);
-    }
-    EXPECT_GT(cache.stats().frame_hits, 0u);
-
-    // A cached sweep revisiting the same point replays identically.
     SweepPoint p;
     p.model = "Instant-NGP";
     const SweepRunner cached(pool, &cache);
@@ -389,6 +375,44 @@ TEST(PlanCache, ServesSweepRunnerAndBatchSession)
     ExpectBitIdentical(c[0].per_model[0], u[0].per_model[0]);
     ExpectBitIdentical(c[1].per_model[0], u[0].per_model[0]);
     ExpectBitIdentical(c[0].per_model[0], reference);
+}
+
+TEST(PlanCache, JoinedColdRunsOnASaturatedPoolComplete)
+{
+    // Every pool thread (and the caller) runs the same cold frame at
+    // once. Depth-0 callers that find it in flight join the execution,
+    // helping drain the pool while they wait; a run that the executor's
+    // own helping loop picks up would duplicate it instead. Neither may
+    // deadlock a fully subscribed pool, and every result must match the
+    // uncached run. The frame is 1024 independent GEMMs so that one
+    // execution lasts long enough for the other threads to arrive
+    // while it is in flight (a paper workload finishes in microseconds,
+    // before a woken worker gets there); fresh caches repeat the race.
+    NerfWorkload w;
+    w.name = "wide";
+    for (int i = 0; i < 1024; ++i) {
+        WorkloadOp op;
+        op.kind = OpKind::kGemm;
+        op.name = "fc" + std::to_string(i);
+        op.gemm = {4096 + 64 * i, 64, 64, 0.5, 1.0, 0.0};
+        w.ops.push_back(op);
+    }
+    const FlexNeRFerModel model;
+    const FrameCost reference = model.RunWorkload(w);
+    for (const int n_threads : {1, 2}) {
+        ThreadPool pool(n_threads);
+        for (int round = 0; round < 20; ++round) {
+            PlanCache cache;
+            std::vector<FrameCost> results(8);
+            pool.ParallelFor(8, [&](std::int64_t i) {
+                results[i] = cache.Run(model, w, &pool);
+            });
+            for (const FrameCost& cost : results) {
+                ExpectBitIdentical(cost, reference);
+            }
+            EXPECT_EQ(cache.stats().plan_misses, 1u);
+        }
+    }
 }
 
 }  // namespace

@@ -1,15 +1,13 @@
 /**
  * @file
- * Property-based suites sweeping configuration spaces: routing-control
- * correctness over random destination sets, bitmap intersection against
- * the mapper, engine invariants over (precision x dims x NoC style),
- * exhaustive small-Benes routing, quantization error bounds, and the
- * footprint model's monotonicity.
+ * Property-based suites sweeping configuration spaces: bitmap
+ * intersection against the mapper, engine invariants over (precision x
+ * dims x NoC style), exhaustive small-Benes routing, quantization error
+ * bounds, and the footprint model's monotonicity.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <numeric>
 #include <tuple>
 
 #include "common/matrix.h"
@@ -18,72 +16,12 @@
 #include "gemm/mapper.h"
 #include "gemm/tiling.h"
 #include "noc/benes.h"
-#include "noc/route_control.h"
 #include "nerf/quantization.h"
 #include "sparse/footprint.h"
 #include "sparse/intersection.h"
 
 namespace flexnerfer {
 namespace {
-
-/** Routing controls must reach exactly the requested destination set. */
-class RouteControlLeaves : public ::testing::TestWithParam<int>
-{};
-
-TEST_P(RouteControlLeaves, ControlsDeliverExactlyTheDestinations)
-{
-    const int leaves = GetParam();
-    Rng rng(1000 + leaves);
-    for (int trial = 0; trial < 100; ++trial) {
-        const int n_dests =
-            static_cast<int>(rng.UniformInt(1, leaves));
-        std::vector<int> all(leaves);
-        std::iota(all.begin(), all.end(), 0);
-        std::shuffle(all.begin(), all.end(), rng.engine());
-        std::vector<int> dests(all.begin(), all.begin() + n_dests);
-        std::sort(dests.begin(), dests.end());
-
-        const RouteControls controls =
-            GenerateRouteControls(leaves, dests);
-        EXPECT_EQ(SimulateRouteControls(leaves, controls), dests);
-
-        // Switch count equals the union-of-paths internal-node count,
-        // which the HMF-NoC hop model charges as edges plus the root.
-        EXPECT_LE(static_cast<int>(controls.switches.size()), leaves - 1);
-        if (n_dests == leaves) {
-            EXPECT_TRUE(controls.is_broadcast);
-            EXPECT_EQ(static_cast<int>(controls.switches.size()),
-                      leaves - 1);
-        }
-    }
-}
-
-TEST_P(RouteControlLeaves, UnicastUsesExactlyDepthSwitches)
-{
-    const int leaves = GetParam();
-    int depth = 0;
-    while ((1 << depth) < leaves) ++depth;
-    for (int d = 0; d < leaves; ++d) {
-        const RouteControls c = GenerateRouteControls(leaves, {d});
-        EXPECT_EQ(static_cast<int>(c.switches.size()), depth);
-        for (const SwitchSetting& s : c.switches) {
-            EXPECT_NE(s.route, SwitchSetting::Route::kBoth);
-        }
-    }
-}
-
-INSTANTIATE_TEST_SUITE_P(TreeSizes, RouteControlLeaves,
-                         ::testing::Values(2, 4, 8, 16, 64, 256));
-
-TEST(RouteControl, PathEnablesMatchHalves)
-{
-    const RouteControls left = GenerateRouteControls(8, {0, 2});
-    EXPECT_TRUE(left.path_left_enabled);
-    EXPECT_FALSE(left.path_right_enabled);
-    const RouteControls both = GenerateRouteControls(8, {1, 6});
-    EXPECT_TRUE(both.path_left_enabled);
-    EXPECT_TRUE(both.path_right_enabled);
-}
 
 /** Bitmap intersection agrees with the mapper's packed work. */
 class IntersectionSweep

@@ -6,7 +6,7 @@
 #    CMake would not define — targets are globbed from bench/*.cpp and
 #    examples/*.cpp, so a target exists iff its source file does;
 #  - any backtick-quoted repo path (src/, tests/, bench/, examples/,
-#    tools/, docs/) referenced in docs/*.md does not exist;
+#    tools/, docs/) referenced in docs/*.md or README.md does not exist;
 #  - any docs/*.md file is not linked from README.md (orphan docs rot
 #    unseen — every guide must be reachable from the front page).
 set -u
@@ -38,19 +38,20 @@ while IFS= read -r target; do
 done < <(awk -F'|' '/^\|/ { print $3 }' docs/PAPER_MAP.md |
          grep -o '`[A-Za-z0-9_]*`' | tr -d '`' | sort -u)
 
-# 2. Backtick-quoted repo paths in every docs file. An extensionless
+# 2. Backtick-quoted repo paths in every docs file and the README (its
+#    directory table must not outlive a deleted module). An extensionless
 #    bench/ or examples/ reference names a build target: it resolves
 #    if its .cpp source exists.
-while IFS= read -r path; do
+while IFS=: read -r file path; do
     [ -z "${path}" ] && continue
     p="${path%/}"
     if [ ! -e "${p}" ] && [ ! -f "${p}.cpp" ]; then
-        echo "docs: referenced path '${path}' does not exist" >&2
+        echo "${file}: referenced path '${path}' does not exist" >&2
         fail=1
     fi
-done < <(grep -hoE \
+done < <(grep -oE \
          '`(src|tests|bench|examples|tools|docs)/[A-Za-z0-9_./-]*`' \
-         docs/*.md | tr -d '`' | sort -u)
+         docs/*.md README.md | tr -d '`' | sort -u)
 
 # 3. Every docs file must be reachable from the README — not just the
 #    core two: a guide nobody can find from the front page is dead.
