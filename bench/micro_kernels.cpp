@@ -1,9 +1,9 @@
 /**
  * @file
  * Google-benchmark micro-kernels: simulator hot paths (format codecs, the
- * fused MAC datapath, NoC delivery, Benes routing, grid queries, engine
- * runs, controller execution). These track the simulator's own speed, not
- * modelled hardware latency.
+ * fused MAC datapath, NoC delivery, Benes routing, grid queries, grid-field
+ * renders, engine runs, controller execution). These track the simulator's
+ * own speed, not modelled hardware latency.
  */
 #include <benchmark/benchmark.h>
 
@@ -11,7 +11,10 @@
 #include "common/rng.h"
 #include "gemm/engine.h"
 #include "mac/bit_scalable_mac.h"
+#include "nerf/field_fit.h"
 #include "nerf/hash_encoding.h"
+#include "nerf/ray.h"
+#include "nerf/renderer.h"
 #include "noc/benes.h"
 #include "noc/hmf_noc.h"
 #include "riscv/controller.h"
@@ -103,6 +106,24 @@ BM_HashGridQuery(benchmark::State& state)
     }
 }
 BENCHMARK(BM_HashGridQuery);
+
+void
+BM_GridFieldRender(benchmark::State& state)
+{
+    // The nerf_quant shapes: a 7-level, 2^13-entry grid rendered at 48x48
+    // with 32 samples per ray, so 73,728 GridField::Query calls per frame.
+    Rng rng(5);
+    GridField::Config config;
+    config.grid = {7, 13, 4, 4, 1.6, -1.5, 1.5, 1e-2};
+    const GridField field(config, rng);
+    const Renderer renderer({32, 1.5, 4.8, 1.0, {1.0, 1.0, 1.0}});
+    const Camera camera({48, 48, 50.0, {0.0, 0.3, 3.0}, {0.0, 0.0, 0.0},
+                         {0.0, 1.0, 0.0}});
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(renderer.Render(field, camera));
+    }
+}
+BENCHMARK(BM_GridFieldRender)->Unit(benchmark::kMillisecond);
 
 void
 BM_GemmEngineTiled(benchmark::State& state)

@@ -54,7 +54,7 @@ GridField::Query(const Vec3& pos, const Vec3& dir, double* sigma,
 {
     (void)dir;  // the grid field is view-independent, like NGP's density
     FLEX_CHECK(sigma != nullptr && rgb != nullptr);
-    double feats[kMaxLevels * 4] = {};
+    double feats[kMaxLevels * 4];
     grid_.QueryInto(pos, feats, nullptr);
     double raw[4] = {0.0, 0.0, 0.0, 0.0};
     for (int level = 0; level < grid_.levels(); ++level) {
@@ -78,6 +78,8 @@ GridField::Fit(const RadianceField& target, int n_points, int epochs,
                double learning_rate, Rng& rng)
 {
     FLEX_CHECK_MSG(n_points >= 1 && epochs >= 1, "fit needs work to do");
+    FLEX_CHECK_MSG(std::isfinite(learning_rate) && learning_rate > 0.0,
+                   "learning rate must be finite and positive");
     FitReport report;
     report.points = n_points;
     report.epochs = epochs;
@@ -119,11 +121,11 @@ GridField::Fit(const RadianceField& target, int n_points, int epochs,
                 const double err = raw[c] - targets[idx][c];
                 sq_err += err * err;
                 if (!update) continue;
+                const double step = learning_rate * err;
                 for (int level = 0; level < levels; ++level) {
                     const HashGrid::LevelTaps& t = taps[level];
                     for (int k = 0; k < t.count; ++k) {
-                        params[t.base[k] + c] -=
-                            learning_rate * err * t.weight[k];
+                        params[t.base[k] + c] -= step * t.weight[k];
                     }
                 }
             }

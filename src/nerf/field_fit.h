@@ -49,6 +49,7 @@ class GridField : public RadianceField
     /**
      * Fits the grid to @p target by SGD on pre-activation regression
      * targets at uniformly sampled positions inside the bounding box.
+     * @p learning_rate must be finite and positive (checked).
      */
     FitReport Fit(const RadianceField& target, int n_points, int epochs,
                   double learning_rate, Rng& rng);

@@ -13,12 +13,27 @@ constexpr std::uint64_t kPrime1 = 1;
 constexpr std::uint64_t kPrime2 = 2654435761ull;
 constexpr std::uint64_t kPrime3 = 805459861ull;
 
-std::uint64_t
-SpatialHash(std::int64_t ix, std::int64_t iy, std::int64_t iz)
+/**
+ * One axis of one level's cell: the two corner weights (1 - f, f) and the
+ * two clamped corner indices times the level's multiplier for the axis.
+ */
+struct AxisSetup {
+    double weight[2];
+    std::uint64_t term[2];
+};
+
+AxisSetup
+SetupAxis(double u, std::int64_t res, std::uint64_t multiplier)
 {
-    return (static_cast<std::uint64_t>(ix) * kPrime1) ^
-           (static_cast<std::uint64_t>(iy) * kPrime2) ^
-           (static_cast<std::uint64_t>(iz) * kPrime3);
+    const double g = u * static_cast<double>(res);
+    // u is in [0, 1], so g >= 0 and truncation is floor. i0 <= res, so
+    // only the upper corner needs the clamp.
+    const auto i0 = static_cast<std::int64_t>(g);
+    const double f = g - static_cast<double>(i0);
+    const std::int64_t i1 = std::min<std::int64_t>(i0 + 1, res);
+    return {{1.0 - f, f},
+            {static_cast<std::uint64_t>(i0) * multiplier,
+             static_cast<std::uint64_t>(i1) * multiplier}};
 }
 
 }  // namespace
@@ -45,7 +60,13 @@ HashGrid::HashGrid(const Config& config, Rng& rng)
                                     (res + 1) * (res + 1);
         const bool dense = corners <= table_entries;
         const std::size_t entries = dense ? corners : table_entries;
-        levels_.push_back({res, dense, res + 1, offset, entries - 1});
+        const std::uint64_t n = static_cast<std::uint64_t>(res) + 1;
+        levels_.push_back({res,
+                           dense,
+                           {dense ? n * n : kPrime1, dense ? n : kPrime2,
+                            dense ? 1 : kPrime3},
+                           offset,
+                           entries - 1});
         offset += entries * config.features;
     }
     parameters_.resize(offset);
@@ -82,60 +103,76 @@ HashGrid::ToUnit(const Vec3& pos) const
 }
 
 std::size_t
-HashGrid::EntryIndex(const Level& level, std::int64_t ix, std::int64_t iy,
-                     std::int64_t iz)
+HashGrid::EntryIndex(const Level& level, std::uint64_t tx, std::uint64_t ty,
+                     std::uint64_t tz)
 {
-    if (level.dense) {
-        const std::int64_t n = level.stride;
-        return static_cast<std::size_t>((ix * n + iy) * n + iz);
-    }
-    return SpatialHash(ix, iy, iz) & level.mask;
+    return level.dense ? tx + ty + tz : (tx ^ ty ^ tz) & level.mask;
 }
 
+template <int kFeatures>
 void
-HashGrid::QueryInto(const Vec3& pos, double* out, LevelTaps* taps) const
+HashGrid::QueryKernel(const Vec3& pos, double* out, LevelTaps* taps) const
 {
     const Vec3 u = ToUnit(pos);
-    const int features = config_.features;
-    std::fill(out, out + OutputDim(), 0.0);
+    const int features = kFeatures > 0 ? kFeatures : config_.features;
+    const double* params = parameters_.data();
 
     for (int l = 0; l < config_.levels; ++l) {
         const Level& level = levels_[l];
-        const int res = level.resolution;
-        const double gx = u.x * res;
-        const double gy = u.y * res;
-        const double gz = u.z * res;
-        const auto x0 = static_cast<std::int64_t>(std::floor(gx));
-        const auto y0 = static_cast<std::int64_t>(std::floor(gy));
-        const auto z0 = static_cast<std::int64_t>(std::floor(gz));
-        const double fx = gx - x0;
-        const double fy = gy - y0;
-        const double fz = gz - z0;
+        const AxisSetup ax =
+            SetupAxis(u.x, level.resolution, level.axis_multiplier[0]);
+        const AxisSetup ay =
+            SetupAxis(u.y, level.resolution, level.axis_multiplier[1]);
+        const AxisSetup az =
+            SetupAxis(u.z, level.resolution, level.axis_multiplier[2]);
 
+        // Fixed feature counts accumulate in registers; the runtime count
+        // accumulates in place.
         double* level_out = out + l * features;
+        double regs[kFeatures > 0 ? kFeatures : 1] = {};
+        double* acc = kFeatures > 0 ? regs : level_out;
+        for (int f = 0; f < features; ++f) acc[f] = 0.0;
+
         int count = 0;
-        for (int corner = 0; corner < 8; ++corner) {
-            const int dx = corner & 1;
-            const int dy = (corner >> 1) & 1;
-            const int dz = (corner >> 2) & 1;
-            const double w = (dx ? fx : 1.0 - fx) * (dy ? fy : 1.0 - fy) *
-                             (dz ? fz : 1.0 - fz);
-            if (w == 0.0) continue;
+        const auto corner = [&](int dx, int dy, int dz) {
+            const double w = ax.weight[dx] * ay.weight[dy] * az.weight[dz];
+            if (w == 0.0) return;
             const std::size_t entry =
-                EntryIndex(level, std::min<std::int64_t>(x0 + dx, res),
-                           std::min<std::int64_t>(y0 + dy, res),
-                           std::min<std::int64_t>(z0 + dz, res));
+                EntryIndex(level, ax.term[dx], ay.term[dy], az.term[dz]);
             const std::size_t base = level.offset + entry * features;
             for (int f = 0; f < features; ++f) {
-                level_out[f] += w * parameters_[base + f];
+                acc[f] += w * params[base + f];
             }
             if (taps) {
                 taps[l].base[count] = base;
                 taps[l].weight[count] = w;
             }
             ++count;
+        };
+        // Corner order: corner = dx | dy << 1 | dz << 2.
+        corner(0, 0, 0);
+        corner(1, 0, 0);
+        corner(0, 1, 0);
+        corner(1, 1, 0);
+        corner(0, 0, 1);
+        corner(1, 0, 1);
+        corner(0, 1, 1);
+        corner(1, 1, 1);
+
+        if (kFeatures > 0) {
+            for (int f = 0; f < features; ++f) level_out[f] = acc[f];
         }
         if (taps) taps[l].count = count;
+    }
+}
+
+void
+HashGrid::QueryInto(const Vec3& pos, double* out, LevelTaps* taps) const
+{
+    if (config_.features == 4) {
+        QueryKernel<4>(pos, out, taps);
+    } else {
+        QueryKernel<0>(pos, out, taps);
     }
 }
 
@@ -177,19 +214,20 @@ HashGrid::CountAccesses(const Vec3& pos, HashAccessStats* stats) const
 
     const Vec3 u = ToUnit(pos);
     for (const Level& level : levels_) {
-        const int res = level.resolution;
-        const auto x0 = static_cast<std::int64_t>(std::floor(u.x * res));
-        const auto y0 = static_cast<std::int64_t>(std::floor(u.y * res));
-        const auto z0 = static_cast<std::int64_t>(std::floor(u.z * res));
+        const AxisSetup ax =
+            SetupAxis(u.x, level.resolution, level.axis_multiplier[0]);
+        const AxisSetup ay =
+            SetupAxis(u.y, level.resolution, level.axis_multiplier[1]);
+        const AxisSetup az =
+            SetupAxis(u.z, level.resolution, level.axis_multiplier[2]);
 
         std::size_t entries[8] = {};
         int distinct = 0;
         for (int corner = 0; corner < 8; ++corner) {
-            const std::size_t entry = EntryIndex(
-                level,
-                std::min<std::int64_t>(x0 + ((corner >> 0) & 1), res),
-                std::min<std::int64_t>(y0 + ((corner >> 1) & 1), res),
-                std::min<std::int64_t>(z0 + ((corner >> 2) & 1), res));
+            const std::size_t entry =
+                EntryIndex(level, ax.term[corner & 1],
+                           ay.term[(corner >> 1) & 1],
+                           az.term[(corner >> 2) & 1]);
             if (std::find(entries, entries + distinct, entry) ==
                 entries + distinct) {
                 entries[distinct++] = entry;

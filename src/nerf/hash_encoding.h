@@ -15,20 +15,38 @@
  * levels) and subgrid locality at fine levels.
  *
  * Level table: the constructor computes every per-level fact once —
- * resolution, dense flag, dense stride (N_l + 1), parameter offset and,
- * for hashed levels, the hash mask. A hashed level holds exactly
+ * resolution, dense flag, per-axis index multipliers, parameter offset
+ * and, for hashed levels, the hash mask. A hashed level holds exactly
  * 2^log2_table entries, so its index is `hash & mask`. Queries only read
  * the table.
  *
- * Tap order: QueryInto is the one query kernel; Query and QueryWithTaps
- * wrap it. At each level it visits the 8 corners in order
+ * Per-axis setup: a corner's weight is a product of one factor per axis,
+ * and its entry index combines one term per axis. With n = N_l + 1 the
+ * dense index (ix * n + iy) * n + iz is ix * n^2 + iy * n + iz, and the
+ * hash is ix * p1 ^ iy * p2 ^ iz * p3. So each level computes, once per
+ * axis, the two weights (1 - f, f), the two clamped corner indices and
+ * their two terms (index times the axis multiplier); the 8 corners only
+ * multiply weights and add (dense) or xor-and-mask (hashed) terms, and
+ * accumulate in registers. Positions are clamped to the unit cube first,
+ * so the scaled coordinate is never negative and integer truncation
+ * equals floor.
+ *
+ * One kernel body: QueryInto is the one query kernel, and Query and
+ * QueryWithTaps wrap it. Its body is a template on the feature count,
+ * instantiated for 4 (GridField's count, so the accumulators stay in
+ * registers) and for a count read at run time (every other count). Both
+ * instantiations compute the same bits.
+ *
+ * Tap order: at each level the kernel visits the 8 corners in order
  * (corner = dx | dy << 1 | dz << 2), skips corners of trilinear weight
  * exactly 0 (clamped or lattice-aligned positions), and adds
- * w * entry[f] into each feature in that order. The per-level taps list
- * the surviving corners in the same order; the SGD fitter
- * (nerf/field_fit.h) applies its updates channel -> level -> corner over
- * them. Results depend on both orders bit for bit, and
- * GridField.FitAndRenderBitsMatchSeed in tests/nerf_test.cpp pins them.
+ * w * entry[f] into each feature in that order, starting from 0. The
+ * per-level taps list the surviving corners in the same order; the SGD
+ * fitter (nerf/field_fit.h) applies its updates channel -> level -> corner
+ * over them. Results depend on both orders bit for bit:
+ * GridField.FitAndRenderBitsMatchSeed in tests/nerf_test.cpp pins them,
+ * and HashGrid.QueryIntoMatchesReferenceKernel compares the kernel with
+ * a per-corner reference by exact bits.
  */
 #ifndef FLEXNERFER_NERF_HASH_ENCODING_H_
 #define FLEXNERFER_NERF_HASH_ENCODING_H_
@@ -136,17 +154,30 @@ class HashGrid
     struct Level {
         int resolution;         //!< N_l
         bool dense;             //!< (N_l + 1)^3 corners fit the table
-        std::int64_t stride;    //!< N_l + 1, the dense row length
+        //! Per-axis (x, y, z) index multipliers: (N_l + 1)^2, N_l + 1, 1
+        //! on dense levels, the three hash primes on hashed ones.
+        std::uint64_t axis_multiplier[3];
         std::size_t offset;     //!< into parameters_
         std::uint64_t mask;     //!< entries - 1 (hashed levels)
     };
 
+    /**
+     * QueryInto's body: kFeatures is the feature count, or 0 to read it
+     * from the config.
+     */
+    template <int kFeatures>
+    void QueryKernel(const Vec3& pos, double* out, LevelTaps* taps) const;
+
     /** Position mapped into the unit cube, clamped; checks finiteness. */
     Vec3 ToUnit(const Vec3& pos) const;
 
-    /** Table entry index of a (clamped) corner at a level. */
-    static std::size_t EntryIndex(const Level& level, std::int64_t ix,
-                                  std::int64_t iy, std::int64_t iz);
+    /**
+     * Table entry of a corner from its per-axis terms (clamped index times
+     * axis_multiplier): their sum on a dense level, their xor masked on a
+     * hashed one.
+     */
+    static std::size_t EntryIndex(const Level& level, std::uint64_t tx,
+                                  std::uint64_t ty, std::uint64_t tz);
 
     Config config_;
     std::vector<double> parameters_;

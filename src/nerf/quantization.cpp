@@ -92,6 +92,9 @@ QuantizeParametersInPlace(std::vector<double>* parameters,
                           Precision precision, const OutlierPolicy& policy)
 {
     FLEX_CHECK(parameters != nullptr);
+    FLEX_CHECK_MSG(!policy.keep_outliers || (policy.outlier_fraction >= 0.0 &&
+                                             policy.outlier_fraction < 1.0),
+                   "outlier fraction outside [0,1)");
     if (parameters->empty()) return 0.0;
 
     double threshold = std::numeric_limits<double>::infinity();

@@ -55,8 +55,9 @@ OutlierSplit SplitOutliers(const MatrixD& m, Precision base_precision,
 
 /**
  * Quantizes the entries of a flat parameter vector in place (quantize then
- * dequantize), optionally keeping the top @p outlier_fraction magnitudes at
- * INT16. Returns the fraction of parameters kept as outliers.
+ * dequantize), optionally keeping the top policy.outlier_fraction
+ * magnitudes at INT16. With keep_outliers, a fraction outside [0, 1) is a
+ * checked error. Returns the fraction of parameters kept as outliers.
  */
 double QuantizeParametersInPlace(std::vector<double>* parameters,
                                  Precision precision,

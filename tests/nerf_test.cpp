@@ -6,8 +6,12 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <limits>
+#include <vector>
 
 #include "common/rng.h"
 #include "nerf/field_fit.h"
@@ -210,6 +214,150 @@ TEST(HashGrid, TapsSkipZeroWeightsAndClamp)
     EXPECT_EQ(grid.Query({-2.0, 0.3, 7.0}), grid.Query({-1.0, 0.3, 1.0}));
 }
 
+// The per-corner query kernel HashGrid::QueryInto replaced, kept as its
+// reference: floor per axis, and per corner its own weight product,
+// clamped indices, entry index and in-place add into the output.
+void
+ReferenceQueryInto(const HashGrid& grid, const Vec3& pos, double* out,
+                   HashGrid::LevelTaps* taps)
+{
+    const HashGrid::Config& config = grid.config();
+    const double extent = config.bbox_max - config.bbox_min;
+    const auto to_unit = [&](double v) {
+        return std::clamp((v - config.bbox_min) / extent, 0.0, 1.0);
+    };
+    const Vec3 u{to_unit(pos.x), to_unit(pos.y), to_unit(pos.z)};
+    const int features = config.features;
+    const std::uint64_t mask = (std::uint64_t{1} << config.log2_table) - 1;
+    std::fill(out, out + grid.OutputDim(), 0.0);
+
+    std::size_t offset = 0;
+    for (int l = 0; l < config.levels; ++l) {
+        const int res = grid.Resolution(l);
+        const bool dense = grid.IsDenseLevel(l);
+        const std::int64_t n = res + 1;
+        const auto entry_index = [&](std::int64_t ix, std::int64_t iy,
+                                     std::int64_t iz) -> std::size_t {
+            if (dense) return static_cast<std::size_t>((ix * n + iy) * n + iz);
+            return ((static_cast<std::uint64_t>(ix) * 1) ^
+                    (static_cast<std::uint64_t>(iy) * 2654435761ull) ^
+                    (static_cast<std::uint64_t>(iz) * 805459861ull)) &
+                   mask;
+        };
+        const double gx = u.x * res;
+        const double gy = u.y * res;
+        const double gz = u.z * res;
+        const auto x0 = static_cast<std::int64_t>(std::floor(gx));
+        const auto y0 = static_cast<std::int64_t>(std::floor(gy));
+        const auto z0 = static_cast<std::int64_t>(std::floor(gz));
+        const double fx = gx - x0;
+        const double fy = gy - y0;
+        const double fz = gz - z0;
+
+        double* level_out = out + l * features;
+        int count = 0;
+        for (int corner = 0; corner < 8; ++corner) {
+            const int dx = corner & 1;
+            const int dy = (corner >> 1) & 1;
+            const int dz = (corner >> 2) & 1;
+            const double w = (dx ? fx : 1.0 - fx) * (dy ? fy : 1.0 - fy) *
+                             (dz ? fz : 1.0 - fz);
+            if (w == 0.0) continue;
+            const std::size_t entry =
+                entry_index(std::min<std::int64_t>(x0 + dx, res),
+                            std::min<std::int64_t>(y0 + dy, res),
+                            std::min<std::int64_t>(z0 + dz, res));
+            const std::size_t base = offset + entry * features;
+            for (int f = 0; f < features; ++f) {
+                level_out[f] += w * grid.parameters()[base + f];
+            }
+            taps[l].base[count] = base;
+            taps[l].weight[count] = w;
+            ++count;
+        }
+        taps[l].count = count;
+        offset += (dense ? static_cast<std::size_t>(n * n * n) : mask + 1) *
+                  features;
+    }
+}
+
+TEST(HashGrid, QueryIntoMatchesReferenceKernel)
+{
+    // Growth 2 from 4 puts unit coordinates k/4 exactly on lattice points
+    // at every level; the 8-entry table aliases hashed corners often.
+    const HashGrid::Config shapes[] = {
+        {4, 10, 0, 4, 2.0, -1.0, 1.0, 0.1},
+        {7, 13, 0, 4, 1.6, -1.5, 1.5, 1e-2},
+        {4, 3, 0, 1, 1.6, -1.5, 1.5, 1e-2},
+    };
+    for (const HashGrid::Config& shape : shapes) {
+        for (int features = 1; features <= 5; ++features) {
+            HashGrid::Config config = shape;
+            config.features = features;
+            Rng rng(31 + features);
+            const HashGrid grid(config, rng);
+            ASSERT_TRUE(grid.IsDenseLevel(0));
+            ASSERT_FALSE(grid.IsDenseLevel(grid.levels() - 1));
+
+            const double lo = config.bbox_min;
+            const double hi = config.bbox_max;
+            const double mid = 0.5 * (lo + hi);
+            std::vector<Vec3> points;
+            for (int i = 0; i < 200; ++i) {  // some outside the box
+                points.push_back({rng.Uniform(lo - 0.5, hi + 0.5),
+                                  rng.Uniform(lo - 0.5, hi + 0.5),
+                                  rng.Uniform(lo - 0.5, hi + 0.5)});
+            }
+            for (double face : {lo, hi}) {
+                points.push_back({face, mid, 0.3 * lo});
+                points.push_back({0.7 * hi, face, mid});
+                points.push_back({face, face, face});
+                points.push_back({lo, hi, face});
+            }
+            const int res0 = grid.Resolution(0);
+            for (int k = 0; k <= res0; ++k) {
+                const double v = lo + (hi - lo) * k / res0;
+                points.push_back({v, v, v});
+                points.push_back({v, mid, lo + (hi - lo) * (res0 - k) / res0});
+            }
+
+            const int dim = grid.OutputDim();
+            int skipped = 0;
+            for (const Vec3& p : points) {
+                std::vector<double> want(dim);
+                std::vector<HashGrid::LevelTaps> want_taps(grid.levels());
+                ReferenceQueryInto(grid, p, want.data(), want_taps.data());
+                // QueryInto must write every output, whatever was there.
+                std::vector<double> got(
+                    dim, std::numeric_limits<double>::quiet_NaN());
+                std::vector<HashGrid::LevelTaps> got_taps(grid.levels());
+                grid.QueryInto(p, got.data(), got_taps.data());
+                ASSERT_EQ(std::memcmp(got.data(), want.data(),
+                                      dim * sizeof(double)),
+                          0)
+                    << "features " << features << " at " << p.x << ", "
+                    << p.y << ", " << p.z;
+                std::vector<double> untapped(
+                    dim, std::numeric_limits<double>::quiet_NaN());
+                grid.QueryInto(p, untapped.data(), nullptr);
+                ASSERT_EQ(std::memcmp(untapped.data(), want.data(),
+                                      dim * sizeof(double)),
+                          0);
+                for (int l = 0; l < grid.levels(); ++l) {
+                    const HashGrid::LevelTaps& g = got_taps[l];
+                    const HashGrid::LevelTaps& w = want_taps[l];
+                    ASSERT_EQ(g.count, w.count) << "level " << l;
+                    ASSERT_EQ(std::memcmp(g.base, w.base, sizeof(g.base)), 0);
+                    ASSERT_EQ(
+                        std::memcmp(g.weight, w.weight, sizeof(g.weight)), 0);
+                    skipped += 8 - w.count;
+                }
+            }
+            EXPECT_GT(skipped, 0);  // the zero-weight skip was exercised
+        }
+    }
+}
+
 TEST(HashGridDeath, RejectsNonFinitePosition)
 {
     Rng rng(8);
@@ -237,6 +385,20 @@ TEST(HashGridDeath, RejectsConfigsTheLevelTableCannotHold)
     EXPECT_DEATH(make(31, 4, 1.6), "log2_table");
     EXPECT_DEATH(make(10, 0, 1.6), "base_resolution");
     EXPECT_DEATH(make(10, 4, 0.9), "growth");
+}
+
+TEST(GridFieldDeath, RejectsNonFiniteOrNonPositiveLearningRate)
+{
+    Rng rng(10);
+    GridField::Config config;
+    config.grid = {4, 3, 4, 1, 1.6, -1.5, 1.5, 1e-2};
+    GridField field(config, rng);
+    const ProceduralScene scene = ProceduralScene::Mic();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    for (double rate : {nan, inf, 0.0, -0.08}) {
+        EXPECT_DEATH(field.Fit(scene, 10, 1, rate, rng), "learning rate");
+    }
 }
 
 TEST(HashGrid, AccessStatsCountEightCornersPerLevel)
@@ -320,6 +482,22 @@ TEST(Quantization, OutlierAwareScaleIsTighter)
         aware_err += std::fabs(outlier_aware[i] - params[i]);
     }
     EXPECT_LT(aware_err, 0.2 * naive_err);
+}
+
+TEST(QuantizationDeath, RejectsOutlierFractionOutsideUnitInterval)
+{
+    std::vector<double> params = {0.1, -0.2, 0.3, 2.0};
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    for (double fraction : {-0.01, 1.0, 1.5, nan}) {
+        std::vector<double> copy = params;
+        EXPECT_DEATH(QuantizeParametersInPlace(&copy, Precision::kInt8,
+                                               {true, fraction}),
+                     "outlier fraction");
+    }
+    // Without keep_outliers the fraction is unused.
+    EXPECT_EQ(QuantizeParametersInPlace(&params, Precision::kInt8,
+                                        {false, 1.5}),
+              0.0);
 }
 
 TEST(Mlp, ForwardShapesAndDeterminism)
