@@ -12,14 +12,6 @@
 namespace flexnerfer {
 
 double
-ClusterStats::ShedRate() const
-{
-    if (submitted == 0) return 0.0;
-    return static_cast<double>(rejected_queue_full + shed_deadline) /
-           static_cast<double>(submitted);
-}
-
-double
 ClusterStats::SpillRate() const
 {
     if (submitted == 0) return 0.0;
@@ -30,17 +22,9 @@ void
 ClusterStats::PublishTo(MetricsRegistry& registry,
                         const std::string& prefix) const
 {
-    registry.SetCounter(prefix + ".submitted",
-                        static_cast<double>(submitted));
+    ServeSummary::PublishTo(registry, prefix);
     registry.SetCounter(prefix + ".cluster_submitted",
                         static_cast<double>(cluster_submitted));
-    registry.SetCounter(prefix + ".accepted", static_cast<double>(accepted));
-    registry.SetCounter(prefix + ".rejected_queue_full",
-                        static_cast<double>(rejected_queue_full));
-    registry.SetCounter(prefix + ".shed_deadline",
-                        static_cast<double>(shed_deadline));
-    registry.SetCounter(prefix + ".completed",
-                        static_cast<double>(completed));
     registry.SetCounter(prefix + ".spilled", static_cast<double>(spilled));
     registry.SetCounter(prefix + ".spill_recompiles",
                         static_cast<double>(spill_recompiles));
@@ -56,68 +40,17 @@ ClusterStats::PublishTo(MetricsRegistry& registry,
                         static_cast<double>(replica_served));
     registry.SetCounter(prefix + ".replication_refreshes",
                         static_cast<double>(replication_refreshes));
-    registry.SetCounter(prefix + ".batches_dispatched",
-                        static_cast<double>(batches_dispatched));
-    registry.SetCounter(prefix + ".fused_batches",
-                        static_cast<double>(fused_batches));
-    registry.SetCounter(prefix + ".batched_requests",
-                        static_cast<double>(batched_requests));
     if (sessions_opened > 0) {
-        // Gated exactly like ServiceStats::PublishTo: a session-free
-        // cluster publishes byte-identically to the pre-session one.
-        registry.SetCounter(prefix + ".sessions_opened",
-                            static_cast<double>(sessions_opened));
-        registry.SetCounter(prefix + ".session_frames",
-                            static_cast<double>(session_frames));
-        registry.SetCounter(prefix + ".delta_frames",
-                            static_cast<double>(delta_frames));
-        registry.SetCounter(prefix + ".session_full_frames",
-                            static_cast<double>(session_full_frames));
-        registry.SetCounter(prefix + ".coherence_breaks",
-                            static_cast<double>(coherence_breaks));
         registry.SetCounter(prefix + ".session_rehomes",
                             static_cast<double>(session_rehomes));
-        registry.SetGauge(prefix + ".delta_hit_rate", delta_hit_rate);
-        registry.SetGauge(prefix + ".session_mean_reuse",
-                          session_mean_reuse);
-        registry.SetGauge(prefix + ".delta_savings_ms", delta_savings_ms);
     }
-
     registry.SetGauge(prefix + ".shards", static_cast<double>(shards));
     registry.SetGauge(prefix + ".live_shards",
                       static_cast<double>(live_shards));
     registry.SetGauge(prefix + ".replicated_scenes",
                       static_cast<double>(replicated_scenes));
-    registry.SetGauge(prefix + ".shed_rate", ShedRate());
     registry.SetGauge(prefix + ".spill_rate", SpillRate());
-    registry.SetGauge(prefix + ".makespan_ms", makespan_ms);
-    registry.SetGauge(prefix + ".sustained_qps", sustained_qps);
-    registry.SetGauge(prefix + ".utilization", utilization);
-    registry.SetGauge(prefix + ".batch_occupancy", batch_occupancy);
-    registry.SetGauge(prefix + ".max_batch_elements",
-                      static_cast<double>(max_batch_elements));
 
-    LatencySummary latency;
-    latency.p50_ms = p50_ms;
-    latency.p90_ms = p90_ms;
-    latency.p99_ms = p99_ms;
-    latency.mean_ms = mean_ms;
-    latency.max_ms = max_ms;
-    registry.SetLatency(prefix + ".latency", latency);
-
-    for (const TierStats& tier : tiers) {
-        const std::string base = prefix + ".tier." + tier.name;
-        registry.SetCounter(base + ".submitted",
-                            static_cast<double>(tier.submitted));
-        registry.SetCounter(base + ".accepted",
-                            static_cast<double>(tier.accepted));
-        registry.SetCounter(base + ".rejected_queue_full",
-                            static_cast<double>(tier.rejected_queue_full));
-        registry.SetCounter(base + ".shed_deadline",
-                            static_cast<double>(tier.shed_deadline));
-        registry.SetGauge(base + ".shed_rate", tier.ShedRate());
-        registry.SetLatency(base + ".latency", tier.latency);
-    }
     for (std::size_t i = 0; i < per_shard.size(); ++i) {
         const ShardTelemetry& shard = per_shard[i];
         const std::string base = prefix + ".shard" + std::to_string(i);
@@ -164,74 +97,7 @@ MakeReplicas(const ClusterConfig& config, std::size_t shards)
     return replicas;
 }
 
-/** Sums one epoch's per-tier counters into a lifetime accumulator
- *  (both indexed by the cluster-wide resolved tier list). */
-void
-AddTierCounters(std::vector<AdmissionController::TierCounters>& into,
-                const std::vector<AdmissionController::TierCounters>& from)
-{
-    for (std::size_t i = 0; i < into.size(); ++i) {
-        into[i].submitted += from[i].submitted;
-        into[i].accepted += from[i].accepted;
-        into[i].rejected_queue_full += from[i].rejected_queue_full;
-        into[i].shed_deadline += from[i].shed_deadline;
-        into[i].busy_ms += from[i].busy_ms;
-    }
-}
-
 }  // namespace
-
-void
-ShardedRenderService::EpochFold::Add(
-    const ServiceStats& stats, const AdmissionController::Counters& counters)
-{
-    submitted += stats.submitted;
-    accepted += stats.accepted;
-    rejected_queue_full += stats.rejected_queue_full;
-    shed_deadline += stats.shed_deadline;
-    completed += stats.completed;
-    batches_dispatched += stats.batches_dispatched;
-    fused_batches += stats.fused_batches;
-    batched_requests += stats.batched_requests;
-    // occupancy = accepted-per-batch, so occupancy x batches is the
-    // replica's accepted-in-batches count, exactly (the replica
-    // computed the ratio from these integers).
-    batched_accepted += static_cast<std::uint64_t>(
-        stats.batch_occupancy * static_cast<double>(stats.batches_dispatched) +
-        0.5);
-    max_batch_elements = std::max(max_batch_elements,
-                                  stats.max_batch_elements);
-    session_frames += stats.session_frames;
-    delta_frames += stats.delta_frames;
-    session_full_frames += stats.session_full_frames;
-    coherence_breaks += stats.coherence_breaks;
-    // mean x count reconstructs the replica's reuse sum exactly (it
-    // derived the mean from these integers and this sum).
-    session_reuse_sum +=
-        stats.session_mean_reuse *
-        static_cast<double>(stats.delta_frames + stats.session_full_frames);
-    delta_savings_ms += stats.delta_savings_ms;
-    busy_ms += counters.busy_ms;
-    if (stats.submitted > 0) {
-        if (!saw_arrival || counters.first_arrival_ms < first_arrival_ms) {
-            first_arrival_ms = counters.first_arrival_ms;
-        }
-        saw_arrival = true;
-    }
-    if (stats.accepted > 0) {
-        last_completion_ms =
-            std::max(last_completion_ms, counters.last_completion_ms);
-        saw_completion = true;
-    }
-}
-
-double
-ShardedRenderService::EpochFold::SpanMs() const
-{
-    return saw_arrival && saw_completion
-               ? last_completion_ms - first_arrival_ms
-               : 0.0;
-}
 
 ShardedRenderService::ShardedRenderService(const ClusterConfig& config)
     : config_(config), router_(config.shards),
@@ -248,7 +114,7 @@ ShardedRenderService::ShardedRenderService(const ClusterConfig& config)
     // aggregates are indexed by it from day one.
     const std::size_t tiers = ResolvedTiers(config.admission).size();
     retired_.tier_latency.resize(tiers);
-    retired_.tier_counters.resize(tiers);
+    retired_.totals.admission.tiers.resize(tiers);
 }
 
 ShardedRenderService::~ShardedRenderService()
@@ -817,11 +683,13 @@ ShardedRenderService::KillShardLocked(std::size_t shard, double now_ms)
         }
     });
 
-    // Fold the dead replica's telemetry into the lifetime aggregates.
-    // Its capacity contribution is its own span — it served alone for
-    // exactly that long (see ClusterStats::utilization).
-    EpochFold fold;
-    FoldReplicaLocked(shard, fold);
+    // Retire the dead replica as an epoch of its own. Its capacity is
+    // its own span — it served alone for exactly that long (see
+    // ClusterStats) — taken before the phantoms below retract: a kill
+    // where every accept replays still spent that span.
+    ServeTotals epoch;
+    RetireReplicaLocked(shard, epoch);
+    retired_.capacity_ms += epoch.SpanMs();
 
     // A ticket that replays never finished here: the replica's ledger
     // recorded a *phantom* completion whose virtual instant lies beyond
@@ -830,18 +698,14 @@ ShardedRenderService::KillShardLocked(std::size_t shard, double now_ms)
     // once. `submitted` keeps both admissions — reconciled by the
     // `replayed` term (see ClusterStats) — while busy_ms and the exact
     // histogram min/max remain high-water marks.
-    fold.accepted -= phantoms.size();
-    fold.completed -= phantoms.size();
+    epoch.admission.accepted -= phantoms.size();
+    epoch.completed -= phantoms.size();
     for (const Phantom& phantom : phantoms) {
         retired_.latency.Expunge(phantom.latency_ms);
-        if (phantom.tier < retired_.tier_latency.size()) {
-            retired_.tier_latency[phantom.tier].Expunge(phantom.latency_ms);
-            --retired_.tier_counters[phantom.tier].accepted;
-        }
+        retired_.tier_latency[phantom.tier].Expunge(phantom.latency_ms);
+        --epoch.admission.tiers[phantom.tier].accepted;
     }
-
-    AccumulateFoldLocked(fold);
-    retired_.capacity_ms += fold.SpanMs();
+    retired_.totals.Merge(epoch);
 
     shards_[shard].reset();
     alive_[shard] = 0;
@@ -1030,52 +894,17 @@ ShardedRenderService::ReplicasOf(const std::string& scene) const
 }
 
 void
-ShardedRenderService::FoldReplicaLocked(std::size_t i, EpochFold& fold)
+ShardedRenderService::RetireReplicaLocked(std::size_t i, ServeTotals& epoch)
 {
-    const AdmissionController::Counters counters =
-        shards_[i]->admission().counters();
-    fold.Add(shards_[i]->Snapshot(), counters);
+    epoch.Merge(shards_[i]->Totals());
     retired_.spilled += aux_[i].spill_in;
     retired_.spill_recompiles += aux_[i].spill_recompiles;
     retired_.replica_served += aux_[i].replica_in;
     retired_.latency.Merge(shards_[i]->latency_histogram());
-    AddTierCounters(retired_.tier_counters, counters.tiers);
     for (std::size_t t = 0; t < retired_.tier_latency.size(); ++t) {
         retired_.tier_latency[t].Merge(shards_[i]->tier_latency_histogram(t));
     }
     aux_[i] = ShardAux{};
-}
-
-void
-ShardedRenderService::AccumulateFoldLocked(const EpochFold& fold)
-{
-    retired_.submitted += fold.submitted;
-    retired_.accepted += fold.accepted;
-    retired_.rejected_queue_full += fold.rejected_queue_full;
-    retired_.shed_deadline += fold.shed_deadline;
-    retired_.completed += fold.completed;
-    retired_.batches_dispatched += fold.batches_dispatched;
-    retired_.fused_batches += fold.fused_batches;
-    retired_.batched_requests += fold.batched_requests;
-    retired_.batched_accepted += fold.batched_accepted;
-    retired_.max_batch_elements =
-        std::max(retired_.max_batch_elements, fold.max_batch_elements);
-    retired_.session_frames += fold.session_frames;
-    retired_.delta_frames += fold.delta_frames;
-    retired_.session_full_frames += fold.session_full_frames;
-    retired_.coherence_breaks += fold.coherence_breaks;
-    retired_.session_reuse_sum += fold.session_reuse_sum;
-    retired_.delta_savings_ms += fold.delta_savings_ms;
-    retired_.busy_ms += fold.busy_ms;
-    if (fold.saw_arrival) {
-        if (!retired_.saw_arrival ||
-            fold.first_arrival_ms < retired_.first_arrival_ms) {
-            retired_.first_arrival_ms = fold.first_arrival_ms;
-        }
-        retired_.saw_arrival = true;
-    }
-    retired_.last_completion_ms = std::max(retired_.last_completion_ms,
-                                           fold.last_completion_ms);
 }
 
 std::size_t
@@ -1098,16 +927,16 @@ ShardedRenderService::Resize(std::size_t new_shards)
     // aggregates, so Snapshot keeps reporting cluster-lifetime totals
     // across rebalances.
     const std::size_t live_before = LiveCountLocked();
-    EpochFold fold;
+    ServeTotals epoch;
     for (std::size_t i = 0; i < shards_.size(); ++i) {
         if (!alive_[i]) continue;
-        FoldReplicaLocked(i, fold);
+        RetireReplicaLocked(i, epoch);
     }
-    AccumulateFoldLocked(fold);
     // The epoch's capacity: its own live shard count times its own
     // span. Accumulated per epoch so utilization stays a fraction of
     // the shard-time that actually existed, whatever Resize does later.
-    retired_.capacity_ms += static_cast<double>(live_before) * fold.SpanMs();
+    retired_.capacity_ms += static_cast<double>(live_before) * epoch.SpanMs();
+    retired_.totals.Merge(epoch);
 
     // Count the scenes whose live home moves — the HRW minimum (growing
     // relocates only scenes topping out on the added shards, shrinking
@@ -1161,15 +990,21 @@ ShardedRenderService::Snapshot() const
     stats.killed_shards = killed_shards_;
     stats.p2c_routed = p2c_routed_;
     stats.replication_refreshes = replication_refreshes_;
+    stats.session_rehomes = session_rehomes_;
     stats.spilled = retired_.spilled;
     stats.spill_recompiles = retired_.spill_recompiles;
     stats.replica_served = retired_.replica_served;
 
+    // Lifetime = retired_ merged with the current epoch: the live
+    // replicas' totals, histograms in the same retired-first order.
+    const std::vector<TierPolicy> tiers = ResolvedTiers(config_.admission);
     LatencyHistogram merged;
     merged.Merge(retired_.latency);
-
-    // The current epoch's aggregation; lifetime = retired_ + fold.
-    EpochFold fold;
+    std::deque<LatencyHistogram> tier_merged(tiers.size());
+    for (std::size_t t = 0; t < tiers.size(); ++t) {
+        tier_merged[t].Merge(retired_.tier_latency[t]);
+    }
+    ServeTotals epoch;
     stats.per_shard.reserve(shards_.size());
     for (std::size_t i = 0; i < shards_.size(); ++i) {
         ShardTelemetry shard;
@@ -1181,130 +1016,33 @@ ShardedRenderService::Snapshot() const
             continue;
         }
         shard.service = shards_[i]->Snapshot();
-        shard.homed = aux_[i].homed;
-        shard.spill_in = aux_[i].spill_in;
-        shard.spill_out = aux_[i].spill_out;
-        shard.spill_recompiles = aux_[i].spill_recompiles;
-        shard.replica_in = aux_[i].replica_in;
-        shard.replayed_in = aux_[i].replayed_in;
-        fold.Add(shard.service, shards_[i]->admission().counters());
+        static_cast<ShardAux&>(shard) = aux_[i];
+        epoch.Merge(shards_[i]->Totals());
         stats.spilled += shard.spill_in;
         stats.spill_recompiles += shard.spill_recompiles;
         stats.replica_served += shard.replica_in;
         merged.Merge(shards_[i]->latency_histogram());
+        for (std::size_t t = 0; t < tiers.size(); ++t) {
+            tier_merged[t].Merge(shards_[i]->tier_latency_histogram(t));
+        }
         stats.per_shard.push_back(std::move(shard));
     }
-    stats.submitted = retired_.submitted + fold.submitted;
-    stats.accepted = retired_.accepted + fold.accepted;
-    stats.rejected_queue_full =
-        retired_.rejected_queue_full + fold.rejected_queue_full;
-    stats.shed_deadline = retired_.shed_deadline + fold.shed_deadline;
-    stats.completed = retired_.completed + fold.completed;
-    stats.batches_dispatched =
-        retired_.batches_dispatched + fold.batches_dispatched;
-    stats.fused_batches = retired_.fused_batches + fold.fused_batches;
-    stats.batched_requests =
-        retired_.batched_requests + fold.batched_requests;
-    stats.max_batch_elements =
-        std::max(retired_.max_batch_elements, fold.max_batch_elements);
-    if (stats.batches_dispatched > 0) {
-        stats.batch_occupancy =
-            static_cast<double>(retired_.batched_accepted +
-                                fold.batched_accepted) /
-            static_cast<double>(stats.batches_dispatched);
-    }
-    stats.sessions_opened = session_order_.size();
-    stats.session_rehomes = session_rehomes_;
-    stats.session_frames = retired_.session_frames + fold.session_frames;
-    stats.delta_frames = retired_.delta_frames + fold.delta_frames;
-    stats.session_full_frames =
-        retired_.session_full_frames + fold.session_full_frames;
-    stats.coherence_breaks =
-        retired_.coherence_breaks + fold.coherence_breaks;
-    stats.delta_savings_ms =
-        retired_.delta_savings_ms + fold.delta_savings_ms;
-    const std::uint64_t accepted_session_frames =
-        stats.delta_frames + stats.session_full_frames;
-    if (accepted_session_frames > 0) {
-        stats.delta_hit_rate =
-            static_cast<double>(stats.delta_frames) /
-            static_cast<double>(accepted_session_frames);
-        stats.session_mean_reuse =
-            (retired_.session_reuse_sum + fold.session_reuse_sum) /
-            static_cast<double>(accepted_session_frames);
-    }
-
-    for (const auto& entry : scenes_) {
-        if (entry.second.replicas.size() >= 2) ++stats.replicated_scenes;
-    }
-
-    stats.p50_ms = merged.Quantile(0.50);
-    stats.p90_ms = merged.Quantile(0.90);
-    stats.p99_ms = merged.Quantile(0.99);
-    stats.mean_ms = merged.Mean();
-    stats.max_ms = merged.Max();
-    stats.latency_samples = merged.count();
-    stats.latency_sum_ms = merged.sum();
-
-    // Per-tier fleet rows: lifetime counters (retired epochs + every
-    // current replica) and losslessly merged per-tier histograms.
-    const std::vector<TierPolicy> tiers = ResolvedTiers(config_.admission);
-    std::vector<AdmissionController::TierCounters> tier_counters =
-        retired_.tier_counters;
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-        if (!alive_[i]) continue;
-        AddTierCounters(tier_counters,
-                        shards_[i]->admission().counters().tiers);
-    }
-    stats.tiers.resize(tiers.size());
-    for (std::size_t t = 0; t < tiers.size(); ++t) {
-        TierStats& tier = stats.tiers[t];
-        tier.name = tiers[t].name;
-        tier.weight = tiers[t].weight;
-        tier.shed_budget = tiers[t].shed_budget;
-        tier.default_deadline_ms = tiers[t].default_deadline_ms;
-        tier.submitted = tier_counters[t].submitted;
-        tier.accepted = tier_counters[t].accepted;
-        tier.rejected_queue_full = tier_counters[t].rejected_queue_full;
-        tier.shed_deadline = tier_counters[t].shed_deadline;
-        tier.busy_ms = tier_counters[t].busy_ms;
-        LatencyHistogram tier_merged;
-        tier_merged.Merge(retired_.tier_latency[t]);
-        for (std::size_t i = 0; i < shards_.size(); ++i) {
-            if (!alive_[i]) continue;
-            tier_merged.Merge(shards_[i]->tier_latency_histogram(t));
-        }
-        tier.latency = tier_merged.Summary();
-    }
-
-    double first_arrival_ms = retired_.first_arrival_ms;
-    bool saw_arrival = retired_.saw_arrival;
-    if (fold.saw_arrival) {
-        if (!saw_arrival || fold.first_arrival_ms < first_arrival_ms) {
-            first_arrival_ms = fold.first_arrival_ms;
-        }
-        saw_arrival = true;
-    }
-    const double last_completion_ms = std::max(
-        retired_.last_completion_ms, fold.last_completion_ms);
-    const bool saw_completion =
-        retired_.accepted > 0 || fold.saw_completion;
-    if (saw_arrival && saw_completion) {
-        stats.makespan_ms = last_completion_ms - first_arrival_ms;
-    }
-    if (stats.makespan_ms > 0.0) {
-        stats.sustained_qps = 1e3 * static_cast<double>(stats.accepted) /
-                              stats.makespan_ms;
-    }
+    ServeTotals lifetime = retired_.totals;
+    lifetime.Merge(epoch);
     // Utilization: busy time over the shard-time that actually existed
     // — each epoch weighted by its own live shard count and span, so
     // the ratio survives Resize unchanged in meaning.
-    const double capacity_ms =
-        retired_.capacity_ms +
-        static_cast<double>(stats.live_shards) * fold.SpanMs();
-    if (capacity_ms > 0.0) {
-        stats.utilization = (retired_.busy_ms + fold.busy_ms) /
-                            capacity_ms;
+    stats.Fill(lifetime, merged, tier_merged, tiers,
+               retired_.capacity_ms +
+                   static_cast<double>(stats.live_shards) * epoch.SpanMs());
+    // Replica-side opens include every re-home; the fleet reports the
+    // sessions its clients opened.
+    stats.sessions_opened = session_order_.size();
+    stats.latency_samples = merged.count();
+    stats.latency_sum_ms = merged.sum();
+
+    for (const auto& entry : scenes_) {
+        if (entry.second.replicas.size() >= 2) ++stats.replicated_scenes;
     }
     return stats;
 }

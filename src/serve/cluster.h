@@ -203,10 +203,8 @@ struct ClusterRenderResult {
     double rpc_delay_ms = 0.0;
 };
 
-/** One replica's telemetry, with the cluster's routing counters. */
-struct ShardTelemetry {
-    ServiceStats service;  //!< the replica's own snapshot
-    bool alive = true;     //!< false once KillShard took it (zero row)
+/** Routing counters a replica cannot see itself (current epoch). */
+struct ShardAux {
     std::uint64_t homed = 0;      //!< requests whose live home is here
     std::uint64_t spill_in = 0;   //!< accepted here away from home
     std::uint64_t spill_out = 0;  //!< homed here, served elsewhere
@@ -215,26 +213,36 @@ struct ShardTelemetry {
     std::uint64_t replayed_in = 0;  //!< replays landed here (epoch)
 };
 
-/** Cluster-level aggregate telemetry (deterministic once drained).
- *  Counters and percentiles span the cluster lifetime, including
- *  replicas retired by Resize or KillShard; per_shard covers the
- *  current epoch. */
-struct ClusterStats {
+/** One replica's telemetry, with the cluster's routing counters. */
+struct ShardTelemetry : ShardAux {
+    ServiceStats service;  //!< the replica's own snapshot
+    bool alive = true;     //!< false once KillShard took it (zero row)
+};
+
+/**
+ * Cluster-level aggregate telemetry (deterministic once drained). The
+ * ServeSummary fields span the cluster lifetime, including replicas
+ * retired by Resize or KillShard; per_shard covers the current epoch.
+ *
+ * Shard-level `submitted` counts admissions: a replayed ticket admits
+ * twice and a transport failure never admits, so across faults the
+ * shard view reconciles with the router view as submitted ==
+ * cluster_submitted - transport_failures + replayed (tests/
+ * chaos_test.cpp holds this identity under every fault schedule).
+ * `sessions_opened` counts cluster OpenSession calls. `utilization` is
+ * total busy time over the shard-time that existed: each epoch between
+ * resizes contributes its shard count x its own arrival-to-completion
+ * span, so the ratio stays meaningful when Resize changes the replica
+ * count. A killed shard contributes its own span, taken before its
+ * replayed tickets retract — an approximation (overlap with the epoch
+ * span double-counts slightly) that errs toward *under*-reporting
+ * utilization after a kill.
+ */
+struct ClusterStats : ServeSummary {
     std::size_t shards = 0;       //!< slots (incl. dead) this epoch
     std::size_t live_shards = 0;  //!< slots still serving
-    /** Shard-level admissions (lifetime). A replayed ticket admits
-     *  twice and a transport failure never admits, so across faults
-     *  the shard view reconciles with the router view as
-     *  submitted == cluster_submitted - transport_failures + replayed
-     *  (tests/chaos_test.cpp holds this identity under every fault
-     *  schedule). Fault-free, the two are equal. */
-    std::uint64_t submitted = 0;
     /** Router-level Submit() calls (lifetime). */
     std::uint64_t cluster_submitted = 0;
-    std::uint64_t accepted = 0;
-    std::uint64_t rejected_queue_full = 0;
-    std::uint64_t shed_deadline = 0;
-    std::uint64_t completed = 0;
     std::uint64_t spilled = 0;           //!< accepted away from home
     std::uint64_t spill_recompiles = 0;  //!< spills that compiled
     /** Requests that never reached a shard (transport retry budget
@@ -252,84 +260,24 @@ struct ClusterStats {
     std::size_t replicated_scenes = 0;
     /** Times the replica sets were (re-)derived from the census. */
     std::uint64_t replication_refreshes = 0;
-
-    /** Trajectory-session totals, summed across every replica and
-     *  every retired epoch (all zero until OpenSession is used; see
-     *  render_service.h ServiceStats for the per-replica semantics). */
-    std::uint64_t sessions_opened = 0;  //!< cluster OpenSession calls
-    std::uint64_t session_frames = 0;   //!< frames submitted in sessions
-    std::uint64_t delta_frames = 0;     //!< accepted on the delta path
-    std::uint64_t session_full_frames = 0;  //!< accepted full recomputes
-    std::uint64_t coherence_breaks = 0;     //!< fast motion forced full
     /** Sessions moved to a new home by KillShard or Resize (each
      *  reopens fresh there: the next frame is a full recompute). */
     std::uint64_t session_rehomes = 0;
-    double delta_hit_rate = 0.0;     //!< delta / accepted session frames
-    double session_mean_reuse = 0.0; //!< mean reuse over accepted frames
-    double delta_savings_ms = 0.0;   //!< Σ (full - admitted) estimates
 
-    /** Batch-fusion totals summed across every replica and every
-     *  retired epoch (all zero while batch_window_ms is 0; see
-     *  render_service.h ServiceStats for the per-replica semantics). */
-    std::uint64_t batches_dispatched = 0;
-    std::uint64_t fused_batches = 0;
-    std::uint64_t batched_requests = 0;
-    std::size_t max_batch_elements = 0;  //!< largest anywhere
-    double batch_occupancy = 0.0;        //!< fleet mean requests/batch
-
-    /** Merged virtual-latency percentiles over every replica's
-     *  histogram (geometric buckets merge losslessly, so the ~2%
-     *  bound is unchanged; see common/stats.h). */
-    double p50_ms = 0.0;
-    double p90_ms = 0.0;
-    double p99_ms = 0.0;
-    double mean_ms = 0.0;
-    double max_ms = 0.0;
-    /** Exact sample count and sum of the merged histogram — the
-     *  reconciliation hooks: latency_samples == accepted always
+    /** Exact sample count and sum of the merged latency histogram —
+     *  the reconciliation hooks: latency_samples == accepted always
      *  (admission records exactly one latency per accept, dead or
      *  alive), and the merged histogram's count equals the sum of the
      *  per-shard counts it folded. */
     std::uint64_t latency_samples = 0;
     double latency_sum_ms = 0.0;
 
-    /** One row per resolved SLO tier, merged across every replica and
-     *  every retired epoch: counters sum, histograms merge losslessly,
-     *  so a tier's fleet-wide shed rate and percentiles carry the same
-     *  guarantees as a single replica's (see render_service.h
-     *  TierStats). Every replica runs the same AdmissionPolicy, so the
-     *  tier list is identical cluster-wide. */
-    std::vector<TierStats> tiers;
-
-    /** Virtual span from the earliest arrival any replica saw to the
-     *  latest accepted completion on any replica (cluster lifetime,
-     *  across resizes). */
-    double makespan_ms = 0.0;
-    /** Accepted / makespan, in requests/s of model time. */
-    double sustained_qps = 0.0;
-    /** Fraction of the available shard-time spent serving: total busy
-     *  time / total capacity, where each epoch between resizes
-     *  contributes (its shard count x its own arrival-to-completion
-     *  span) of capacity — so the ratio stays meaningful when Resize
-     *  changes the replica count mid-lifetime. A killed shard
-     *  contributes its own span up to the fold, an approximation
-     *  (overlap with the epoch span double-counts slightly) that errs
-     *  toward *under*-reporting utilization after a kill. */
-    double utilization = 0.0;
-
     std::vector<ShardTelemetry> per_shard;
 
-    double ShedRate() const;   //!< (rejected + shed) / submitted
     double SpillRate() const;  //!< spilled / submitted
 
-    /**
-     * Publishes this snapshot through the unified metrics surface
-     * (obs/metrics_registry.h) under @p prefix: cluster-lifetime
-     * counters, routing/spill/replication/fault totals, merged latency
-     * digests, per-tier slices, and per-shard routing counters.
-     * Virtual-time derived, so the published values share this
-     * snapshot's thread-count invariance.
-     */
+    /** ServeSummary::PublishTo plus the routing, spill, replication
+     *  and fault totals and the per-shard rows. */
     void PublishTo(MetricsRegistry& registry,
                    const std::string& prefix = "cluster") const;
 };
@@ -513,91 +461,22 @@ class ShardedRenderService
         double rpc_delay_ms = 0.0;
     };
 
-    /** Routing counters the replicas cannot see (per current epoch). */
-    struct ShardAux {
-        std::uint64_t homed = 0;
-        std::uint64_t spill_in = 0;
-        std::uint64_t spill_out = 0;
-        std::uint64_t spill_recompiles = 0;
-        std::uint64_t replica_in = 0;
-        std::uint64_t replayed_in = 0;
-    };
-
-    /**
-     * One epoch's per-replica scalar aggregation — shared by Resize /
-     * KillShard (folding retiring replicas into the lifetime
-     * aggregates) and Snapshot (reporting the current epoch), so the
-     * subtle guards (an arrival counts once the replica saw a submit,
-     * a completion once it accepted) cannot drift between them.
-     */
-    struct EpochFold {
-        std::uint64_t submitted = 0;
-        std::uint64_t accepted = 0;
-        std::uint64_t rejected_queue_full = 0;
-        std::uint64_t shed_deadline = 0;
-        std::uint64_t completed = 0;
-        std::uint64_t batches_dispatched = 0;
-        std::uint64_t fused_batches = 0;
-        std::uint64_t batched_requests = 0;
-        std::uint64_t batched_accepted = 0;
-        std::size_t max_batch_elements = 0;
-        std::uint64_t session_frames = 0;
-        std::uint64_t delta_frames = 0;
-        std::uint64_t session_full_frames = 0;
-        std::uint64_t coherence_breaks = 0;
-        /** Σ reuse over accepted session frames, reconstructed from the
-         *  replica's mean (it computed the mean from this exact sum). */
-        double session_reuse_sum = 0.0;
-        double delta_savings_ms = 0.0;
-        double busy_ms = 0.0;
-        double first_arrival_ms = 0.0;
-        bool saw_arrival = false;
-        double last_completion_ms = 0.0;
-        bool saw_completion = false;
-
-        void Add(const ServiceStats& stats,
-                 const AdmissionController::Counters& counters);
-        /** This epoch's arrival-to-completion span (0 until both
-         *  seen). */
-        double SpanMs() const;
-    };
-
     /** Telemetry of replicas retired by Resize or KillShard (cluster
      *  lifetime). */
     struct Retired {
-        std::uint64_t submitted = 0;
-        std::uint64_t accepted = 0;
-        std::uint64_t rejected_queue_full = 0;
-        std::uint64_t shed_deadline = 0;
-        std::uint64_t completed = 0;
+        ServeTotals totals;
         std::uint64_t spilled = 0;
         std::uint64_t spill_recompiles = 0;
         std::uint64_t replica_served = 0;
-        std::uint64_t batches_dispatched = 0;
-        std::uint64_t fused_batches = 0;
-        std::uint64_t batched_requests = 0;
-        std::uint64_t batched_accepted = 0;
-        std::size_t max_batch_elements = 0;
-        std::uint64_t session_frames = 0;
-        std::uint64_t delta_frames = 0;
-        std::uint64_t session_full_frames = 0;
-        std::uint64_t coherence_breaks = 0;
-        double session_reuse_sum = 0.0;
-        double delta_savings_ms = 0.0;
-        double busy_ms = 0.0;
-        double first_arrival_ms = 0.0;
-        double last_completion_ms = 0.0;
-        bool saw_arrival = false;
         /** Shard-time retired epochs had available: each contributes
          *  its shard count x its own arrival-to-completion span (the
-         *  utilization denominator; see ClusterStats::utilization). */
+         *  utilization denominator; see ClusterStats). */
         double capacity_ms = 0.0;
         LatencyHistogram latency;
-        /** Per-tier lifetime telemetry (same indexing as the resolved
-         *  tier list). A deque of histograms because they are neither
-         *  copyable nor movable (common/stats.h). */
+        /** Per-tier lifetime histograms (same indexing as the resolved
+         *  tier list). A deque because histograms are neither copyable
+         *  nor movable (common/stats.h). */
         std::deque<LatencyHistogram> tier_latency;
-        std::vector<AdmissionController::TierCounters> tier_counters;
     };
 
     /** Registers @p scene on @p shard if not yet (mutex_ held). */
@@ -642,12 +521,12 @@ class ShardedRenderService
      *  every shard-local session handle. (mutex_ held.) */
     void RehomeSessionsLocked(const TraceContext& ctx, double now_ms,
                               bool force);
-    /** Folds replica @p i's histograms/tiers/aux into retired_ and its
-     *  scalars into @p fold; zeroes aux_[i]. (mutex_ held.) */
-    void FoldReplicaLocked(std::size_t i, EpochFold& fold);
-    /** Adds @p fold's scalar totals into retired_ (capacity is the
-     *  caller's: Resize and KillShard weight spans differently). */
-    void AccumulateFoldLocked(const EpochFold& fold);
+    /** Merges replica @p i's totals into @p epoch and its histograms
+     *  and routing counters into retired_; zeroes aux_[i]. The caller
+     *  merges @p epoch into retired_ once it has added the epoch's
+     *  capacity (Resize and KillShard weight spans differently).
+     *  (mutex_ held.) */
+    void RetireReplicaLocked(std::size_t i, ServeTotals& epoch);
     /** KillShard minus the public lock. */
     std::size_t KillShardLocked(std::size_t shard, double now_ms);
     /** RefreshReplication minus the public lock. */

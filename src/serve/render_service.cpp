@@ -153,12 +153,132 @@ SessionStats::DeltaHitRate() const
            static_cast<double>(accepted);
 }
 
+void
+ServeTotals::Merge(const ServeTotals& other)
+{
+    AdmissionController::Counters& into = admission;
+    const AdmissionController::Counters& from = other.admission;
+    // An arrival exists once a submit did; a completion only ever moves
+    // forward from 0, so it needs no such guard.
+    if (other.submitted > 0 &&
+        (submitted == 0 || from.first_arrival_ms < into.first_arrival_ms)) {
+        into.first_arrival_ms = from.first_arrival_ms;
+    }
+    into.last_completion_ms =
+        std::max(into.last_completion_ms, from.last_completion_ms);
+    into.accepted += from.accepted;
+    into.rejected_queue_full += from.rejected_queue_full;
+    into.shed_deadline += from.shed_deadline;
+    into.busy_ms += from.busy_ms;
+    if (into.tiers.size() < from.tiers.size()) {
+        into.tiers.resize(from.tiers.size());
+    }
+    for (std::size_t i = 0; i < from.tiers.size(); ++i) {
+        AdmissionController::TierCounters& tier = into.tiers[i];
+        tier.submitted += from.tiers[i].submitted;
+        tier.accepted += from.tiers[i].accepted;
+        tier.rejected_queue_full += from.tiers[i].rejected_queue_full;
+        tier.shed_deadline += from.tiers[i].shed_deadline;
+        tier.busy_ms += from.tiers[i].busy_ms;
+    }
+
+    submitted += other.submitted;
+    completed += other.completed;
+    batches_dispatched += other.batches_dispatched;
+    fused_batches += other.fused_batches;
+    batched_requests += other.batched_requests;
+    batched_accepted += other.batched_accepted;
+    max_batch_elements = std::max(max_batch_elements,
+                                  other.max_batch_elements);
+    sessions_opened += other.sessions_opened;
+    session_frames += other.session_frames;
+    delta_frames += other.delta_frames;
+    session_full_frames += other.session_full_frames;
+    coherence_breaks += other.coherence_breaks;
+    session_reuse_sum += other.session_reuse_sum;
+    delta_savings_ms += other.delta_savings_ms;
+}
+
 double
-ServiceStats::ShedRate() const
+ServeTotals::SpanMs() const
+{
+    return submitted > 0 && admission.accepted > 0
+               ? admission.last_completion_ms - admission.first_arrival_ms
+               : 0.0;
+}
+
+double
+ServeSummary::ShedRate() const
 {
     if (submitted == 0) return 0.0;
     return static_cast<double>(rejected_queue_full + shed_deadline) /
            static_cast<double>(submitted);
+}
+
+void
+ServeSummary::Fill(const ServeTotals& totals,
+                   const LatencyHistogram& latency,
+                   const std::deque<LatencyHistogram>& tier_latency,
+                   const std::vector<TierPolicy>& policies,
+                   double capacity_ms)
+{
+    const AdmissionController::Counters& admitted = totals.admission;
+    submitted = totals.submitted;
+    accepted = admitted.accepted;
+    rejected_queue_full = admitted.rejected_queue_full;
+    shed_deadline = admitted.shed_deadline;
+    completed = totals.completed;
+
+    const LatencySummary digest = latency.Summary();
+    p50_ms = digest.p50_ms;
+    p90_ms = digest.p90_ms;
+    p99_ms = digest.p99_ms;
+    mean_ms = digest.mean_ms;
+    max_ms = digest.max_ms;
+
+    makespan_ms = totals.SpanMs();
+    if (makespan_ms > 0.0) {
+        sustained_qps = 1e3 * static_cast<double>(accepted) / makespan_ms;
+    }
+    if (capacity_ms > 0.0) utilization = admitted.busy_ms / capacity_ms;
+
+    batches_dispatched = totals.batches_dispatched;
+    fused_batches = totals.fused_batches;
+    batched_requests = totals.batched_requests;
+    max_batch_elements = totals.max_batch_elements;
+    if (batches_dispatched > 0) {
+        batch_occupancy = static_cast<double>(totals.batched_accepted) /
+                          static_cast<double>(batches_dispatched);
+    }
+
+    sessions_opened = totals.sessions_opened;
+    session_frames = totals.session_frames;
+    delta_frames = totals.delta_frames;
+    session_full_frames = totals.session_full_frames;
+    coherence_breaks = totals.coherence_breaks;
+    delta_savings_ms = totals.delta_savings_ms;
+    const std::uint64_t accepted_session_frames =
+        delta_frames + session_full_frames;
+    if (accepted_session_frames > 0) {
+        delta_hit_rate = static_cast<double>(delta_frames) /
+                         static_cast<double>(accepted_session_frames);
+        session_mean_reuse = totals.session_reuse_sum /
+                             static_cast<double>(accepted_session_frames);
+    }
+
+    // One row per resolved tier: policy knobs echoed next to the
+    // counters and latency digest they govern.
+    tiers.resize(policies.size());
+    for (std::size_t i = 0; i < policies.size(); ++i) {
+        TierStats& tier = tiers[i];
+        static_cast<AdmissionController::TierCounters&>(tier) =
+            admitted.tiers[i];
+        tier.name = policies[i].name;
+        tier.weight = policies[i].weight;
+        tier.shed_budget = policies[i].shed_budget;
+        tier.default_deadline_ms = policies[i].default_deadline_ms;
+        tier.latency = tier_latency[i].Summary();
+    }
 }
 
 RenderService::RenderService(const ServeConfig& config)
@@ -708,74 +828,46 @@ RenderService::WaitAll()
     return ledger_.TakeAll();
 }
 
+ServeTotals
+RenderService::Totals() const
+{
+    ServeTotals totals;
+    totals.admission = admission_.counters();
+    totals.submitted = submitted_.load();
+    totals.completed = completed_.load();
+    {
+        std::lock_guard<std::mutex> lock(batch_mutex_);
+        totals.batches_dispatched = batches_dispatched_;
+        totals.fused_batches = fused_batches_;
+        totals.batched_requests = batched_requests_;
+        totals.batched_accepted = batched_accepted_total_;
+        totals.max_batch_elements = max_batch_seen_;
+    }
+    std::lock_guard<std::mutex> session_lock(session_mutex_);
+    totals.sessions_opened = session_order_.size();
+    for (const SessionId id : session_order_) {
+        const Session& session = sessions_.at(id);
+        totals.session_frames += session.frames;
+        totals.delta_frames += session.delta_frames;
+        totals.session_full_frames += session.full_frames;
+        totals.coherence_breaks += session.coherence_breaks;
+        totals.session_reuse_sum += session.reuse_sum;
+        totals.delta_savings_ms += session.delta_savings_ms;
+    }
+    return totals;
+}
+
 ServiceStats
 RenderService::Snapshot() const
 {
     ServiceStats stats;
-    const AdmissionController::Counters admitted = admission_.counters();
-    stats.submitted = submitted_.load();
-    stats.accepted = admitted.accepted;
-    stats.rejected_queue_full = admitted.rejected_queue_full;
-    stats.shed_deadline = admitted.shed_deadline;
-    stats.completed = completed_.load();
-
-    const LatencySummary latency = latency_.Summary();
-    stats.p50_ms = latency.p50_ms;
-    stats.p90_ms = latency.p90_ms;
-    stats.p99_ms = latency.p99_ms;
-    stats.mean_ms = latency.mean_ms;
-    stats.max_ms = latency.max_ms;
-
-    // One row per resolved tier: policy knobs echoed next to the
-    // counters and latency digest they govern.
-    const std::vector<TierPolicy>& tiers = admission_.tiers();
-    stats.tiers.resize(tiers.size());
-    for (std::size_t i = 0; i < tiers.size(); ++i) {
-        TierStats& tier = stats.tiers[i];
-        tier.name = tiers[i].name;
-        tier.weight = tiers[i].weight;
-        tier.shed_budget = tiers[i].shed_budget;
-        tier.default_deadline_ms = tiers[i].default_deadline_ms;
-        const AdmissionController::TierCounters& counters =
-            admitted.tiers[i];
-        tier.submitted = counters.submitted;
-        tier.accepted = counters.accepted;
-        tier.rejected_queue_full = counters.rejected_queue_full;
-        tier.shed_deadline = counters.shed_deadline;
-        tier.busy_ms = counters.busy_ms;
-        tier.latency = tier_latency_[i].Summary();
-    }
-
-    // Meaningful only once something was accepted: rejected/shed
-    // arrivals set first_arrival_ms but never a completion.
-    stats.makespan_ms =
-        admitted.accepted > 0
-            ? admitted.last_completion_ms - admitted.first_arrival_ms
-            : 0.0;
-    if (stats.makespan_ms > 0.0) {
-        stats.sustained_qps = 1e3 * static_cast<double>(admitted.accepted) /
-                              stats.makespan_ms;
-        stats.utilization = admitted.busy_ms / stats.makespan_ms;
-    }
-
-    {
-        std::lock_guard<std::mutex> lock(batch_mutex_);
-        stats.batches_dispatched = batches_dispatched_;
-        stats.fused_batches = fused_batches_;
-        stats.batched_requests = batched_requests_;
-        stats.max_batch_elements = max_batch_seen_;
-        if (batches_dispatched_ > 0) {
-            stats.batch_occupancy =
-                static_cast<double>(batched_accepted_total_) /
-                static_cast<double>(batches_dispatched_);
-        }
-    }
+    const ServeTotals totals = Totals();
+    // One device: the capacity is the makespan itself.
+    stats.Fill(totals, latency_, tier_latency_, admission_.tiers(),
+               totals.SpanMs());
 
     {
         std::lock_guard<std::mutex> session_lock(session_mutex_);
-        stats.sessions_opened = session_order_.size();
-        double reuse_sum = 0.0;
-        std::uint64_t accepted_session_frames = 0;
         stats.sessions.reserve(session_order_.size());
         for (const SessionId id : session_order_) {
             const Session& session = sessions_.at(id);
@@ -794,21 +886,6 @@ RenderService::Snapshot() const
                     : 0.0;
             row.delta_savings_ms = session.delta_savings_ms;
             stats.sessions.push_back(std::move(row));
-
-            stats.session_frames += session.frames;
-            stats.delta_frames += session.delta_frames;
-            stats.session_full_frames += session.full_frames;
-            stats.coherence_breaks += session.coherence_breaks;
-            stats.delta_savings_ms += session.delta_savings_ms;
-            reuse_sum += session.reuse_sum;
-            accepted_session_frames += accepted;
-        }
-        if (accepted_session_frames > 0) {
-            stats.delta_hit_rate =
-                static_cast<double>(stats.delta_frames) /
-                static_cast<double>(accepted_session_frames);
-            stats.session_mean_reuse =
-                reuse_sum / static_cast<double>(accepted_session_frames);
         }
     }
 
@@ -819,7 +896,7 @@ RenderService::Snapshot() const
 }
 
 void
-ServiceStats::PublishTo(MetricsRegistry& registry,
+ServeSummary::PublishTo(MetricsRegistry& registry,
                         const std::string& prefix) const
 {
     registry.SetCounter(prefix + ".submitted",
@@ -837,14 +914,6 @@ ServiceStats::PublishTo(MetricsRegistry& registry,
                         static_cast<double>(fused_batches));
     registry.SetCounter(prefix + ".batched_requests",
                         static_cast<double>(batched_requests));
-    registry.SetCounter(prefix + ".cache.plan_hits",
-                        static_cast<double>(cache.plan_hits));
-    registry.SetCounter(prefix + ".cache.plan_misses",
-                        static_cast<double>(cache.plan_misses));
-    registry.SetCounter(prefix + ".cache.frame_hits",
-                        static_cast<double>(cache.frame_hits));
-    registry.SetCounter(prefix + ".cache.evictions",
-                        static_cast<double>(cache.evictions));
     // The trajectory surface publishes only once sessions exist, so a
     // session-free deployment's metric dump is byte-identical to the
     // pre-session service's.
@@ -859,33 +928,10 @@ ServiceStats::PublishTo(MetricsRegistry& registry,
                             static_cast<double>(session_full_frames));
         registry.SetCounter(prefix + ".coherence_breaks",
                             static_cast<double>(coherence_breaks));
-        registry.SetCounter(prefix + ".cache.delta_hits",
-                            static_cast<double>(cache.delta_hits));
-        registry.SetCounter(prefix + ".cache.delta_misses",
-                            static_cast<double>(cache.delta_misses));
         registry.SetGauge(prefix + ".delta_hit_rate", delta_hit_rate);
         registry.SetGauge(prefix + ".session_mean_reuse",
                           session_mean_reuse);
         registry.SetGauge(prefix + ".delta_savings_ms", delta_savings_ms);
-        for (const SessionStats& session : sessions) {
-            const std::string base =
-                prefix + ".session." + std::to_string(session.id);
-            registry.SetCounter(base + ".frames",
-                                static_cast<double>(session.frames));
-            registry.SetCounter(
-                base + ".delta_frames",
-                static_cast<double>(session.delta_frames));
-            registry.SetCounter(base + ".full_frames",
-                                static_cast<double>(session.full_frames));
-            registry.SetCounter(
-                base + ".coherence_breaks",
-                static_cast<double>(session.coherence_breaks));
-            registry.SetGauge(base + ".delta_hit_rate",
-                              session.DeltaHitRate());
-            registry.SetGauge(base + ".mean_reuse", session.mean_reuse);
-            registry.SetGauge(base + ".delta_savings_ms",
-                              session.delta_savings_ms);
-        }
     }
 
     registry.SetGauge(prefix + ".shed_rate", ShedRate());
@@ -895,8 +941,6 @@ ServiceStats::PublishTo(MetricsRegistry& registry,
     registry.SetGauge(prefix + ".batch_occupancy", batch_occupancy);
     registry.SetGauge(prefix + ".max_batch_elements",
                       static_cast<double>(max_batch_elements));
-    registry.SetGauge(prefix + ".cache.entries",
-                      static_cast<double>(cache_entries));
 
     LatencySummary latency;
     latency.p50_ms = p50_ms;
@@ -919,6 +963,48 @@ ServiceStats::PublishTo(MetricsRegistry& registry,
         registry.SetGauge(base + ".shed_rate", tier.ShedRate());
         registry.SetGauge(base + ".busy_ms", tier.busy_ms);
         registry.SetLatency(base + ".latency", tier.latency);
+    }
+}
+
+void
+ServiceStats::PublishTo(MetricsRegistry& registry,
+                        const std::string& prefix) const
+{
+    ServeSummary::PublishTo(registry, prefix);
+    registry.SetCounter(prefix + ".cache.plan_hits",
+                        static_cast<double>(cache.plan_hits));
+    registry.SetCounter(prefix + ".cache.plan_misses",
+                        static_cast<double>(cache.plan_misses));
+    registry.SetCounter(prefix + ".cache.frame_hits",
+                        static_cast<double>(cache.frame_hits));
+    registry.SetCounter(prefix + ".cache.evictions",
+                        static_cast<double>(cache.evictions));
+    registry.SetGauge(prefix + ".cache.entries",
+                      static_cast<double>(cache_entries));
+    if (sessions_opened > 0) {
+        registry.SetCounter(prefix + ".cache.delta_hits",
+                            static_cast<double>(cache.delta_hits));
+        registry.SetCounter(prefix + ".cache.delta_misses",
+                            static_cast<double>(cache.delta_misses));
+        for (const SessionStats& session : sessions) {
+            const std::string base =
+                prefix + ".session." + std::to_string(session.id);
+            registry.SetCounter(base + ".frames",
+                                static_cast<double>(session.frames));
+            registry.SetCounter(
+                base + ".delta_frames",
+                static_cast<double>(session.delta_frames));
+            registry.SetCounter(base + ".full_frames",
+                                static_cast<double>(session.full_frames));
+            registry.SetCounter(
+                base + ".coherence_breaks",
+                static_cast<double>(session.coherence_breaks));
+            registry.SetGauge(base + ".delta_hit_rate",
+                              session.DeltaHitRate());
+            registry.SetGauge(base + ".mean_reuse", session.mean_reuse);
+            registry.SetGauge(base + ".delta_savings_ms",
+                              session.delta_savings_ms);
+        }
     }
     for (const SceneStats& scene : scenes) {
         const std::string base = prefix + ".scene." + scene.name;

@@ -185,24 +185,18 @@ struct SessionStats {
 };
 
 /**
- * Per-tier serving telemetry: the tier's policy knobs echoed next to
- * the counters and latency digest they govern, so one row answers
- * "is this tier inside its SLO". Reported by ServiceStats::tiers (one
- * replica) and ClusterStats::tiers (merged across shards and resizes —
- * the histograms merge losslessly, so merged percentiles keep the same
- * ~2% bound; see common/stats.h).
+ * Per-tier serving telemetry: the tier's admission counters with its
+ * policy knobs echoed next to them and the latency digest they govern,
+ * so one row answers "is this tier inside its SLO". Reported by
+ * ServiceStats::tiers (one replica) and ClusterStats::tiers (merged
+ * across shards and resizes — the histograms merge losslessly, so
+ * merged percentiles keep the same ~2% bound; see common/stats.h).
  */
-struct TierStats {
+struct TierStats : AdmissionController::TierCounters {
     std::string name;
     double weight = 1.0;
     double shed_budget = 1.0;
     double default_deadline_ms = 0.0;
-
-    std::uint64_t submitted = 0;
-    std::uint64_t accepted = 0;
-    std::uint64_t rejected_queue_full = 0;
-    std::uint64_t shed_deadline = 0;
-    double busy_ms = 0.0;  //!< accepted virtual service time
 
     /** Virtual latency digest over the tier's accepted requests. */
     LatencySummary latency;
@@ -213,8 +207,46 @@ struct TierStats {
     bool WithinShedBudget() const { return ShedRate() <= shed_budget; }
 };
 
-/** Aggregate telemetry snapshot (deterministic once requests drain). */
-struct ServiceStats {
+/**
+ * Raw, additive serving totals: every counter and sum a snapshot
+ * derives its ratios from, and no ratio. One replica reads them with
+ * RenderService::Totals(); a cluster folds replicas — live or retired —
+ * with Merge alone, so no snapshot ever rebuilds a sum from a mean.
+ */
+struct ServeTotals {
+    /** Admission counters, per-tier slices included. */
+    AdmissionController::Counters admission;
+    std::uint64_t submitted = 0;
+    std::uint64_t completed = 0;  //!< accepted requests fully executed
+
+    std::uint64_t batches_dispatched = 0;
+    std::uint64_t fused_batches = 0;
+    std::uint64_t batched_requests = 0;
+    /** Accepted requests across dispatched batches (solos included):
+     *  the batch-occupancy numerator. */
+    std::uint64_t batched_accepted = 0;
+    std::size_t max_batch_elements = 0;
+
+    std::uint64_t sessions_opened = 0;
+    std::uint64_t session_frames = 0;
+    std::uint64_t delta_frames = 0;
+    std::uint64_t session_full_frames = 0;
+    std::uint64_t coherence_breaks = 0;
+    double session_reuse_sum = 0.0;  //!< over accepted session frames
+    double delta_savings_ms = 0.0;
+
+    /** Adds @p other in: counters and sums add, the earliest arrival
+     *  and latest completion win, and so does the largest batch. */
+    void Merge(const ServeTotals& other);
+    /** First arrival to last accepted completion (0 until both). */
+    double SpanMs() const;
+};
+
+/**
+ * The telemetry one replica and a whole cluster report alike, derived
+ * from one ServeTotals (deterministic once requests drain).
+ */
+struct ServeSummary {
     std::uint64_t submitted = 0;
     std::uint64_t accepted = 0;
     std::uint64_t rejected_queue_full = 0;
@@ -234,12 +266,13 @@ struct ServiceStats {
     /** Sustained throughput: accepted / makespan, in requests/s of
      *  model time. */
     double sustained_qps = 0.0;
-    /** Fraction of the makespan the modeled device was serving. */
+    /** Fraction of the available device time spent serving: busy time
+     *  over the capacity Fill was given. */
     double utilization = 0.0;
 
     /**
      * Batch-fusion telemetry (all zero while the batch window is off).
-     * Counters cover dispatched batches: Snapshot() taken mid-window
+     * Counters cover dispatched batches: a snapshot taken mid-window
      * excludes still-open batches, which Wait/WaitAll flush.
      */
     std::uint64_t batches_dispatched = 0;  //!< fused executions, incl. solos
@@ -268,11 +301,6 @@ struct ServiceStats {
     /** Total virtual ms the delta path saved vs full recomputes. */
     double delta_savings_ms = 0.0;
 
-    PlanCache::Stats cache;        //!< plan hits/misses/evictions
-    std::size_t cache_entries = 0;
-    std::vector<SceneStats> scenes;
-    /** One row per opened session, in open order. */
-    std::vector<SessionStats> sessions;
     /** One row per resolved SLO tier (AdmissionController::tiers()),
      *  in tier-index order. */
     std::vector<TierStats> tiers;
@@ -280,14 +308,37 @@ struct ServiceStats {
     double ShedRate() const;  //!< (rejected + shed) / submitted
 
     /**
-     * Publishes this snapshot through the unified metrics surface
-     * (obs/metrics_registry.h) under @p prefix: counters for the
-     * monotone totals (including per-tier and per-scene slices and the
-     * plan-cache counters), gauges for the levels, and the latency
-     * digests. Everything published is virtual-time derived, so the
-     * registry's ToJson obeys the same thread-count-invariance as this
-     * snapshot.
+     * Sets every field above from @p totals, the merged @p latency
+     * histogram, one histogram per entry of @p policies, and the
+     * device time that was available (@p capacity_ms: one service's
+     * makespan, or a cluster's per-epoch shard-time).
      */
+    void Fill(const ServeTotals& totals, const LatencyHistogram& latency,
+              const std::deque<LatencyHistogram>& tier_latency,
+              const std::vector<TierPolicy>& policies, double capacity_ms);
+
+    /**
+     * Publishes the fields above through the unified metrics surface
+     * (obs/metrics_registry.h) under @p prefix: counters for the
+     * monotone totals (per-tier slices included), gauges for the
+     * levels, and the latency digests. Everything published is
+     * virtual-time derived, so the registry's ToJson obeys the same
+     * thread-count invariance as the snapshot.
+     */
+    void PublishTo(MetricsRegistry& registry,
+                   const std::string& prefix) const;
+};
+
+/** One replica's telemetry snapshot. */
+struct ServiceStats : ServeSummary {
+    PlanCache::Stats cache;        //!< plan hits/misses/evictions
+    std::size_t cache_entries = 0;
+    std::vector<SceneStats> scenes;
+    /** One row per opened session, in open order. */
+    std::vector<SessionStats> sessions;
+
+    /** ServeSummary::PublishTo plus the plan-cache counters and the
+     *  per-scene and per-session slices. */
     void PublishTo(MetricsRegistry& registry,
                    const std::string& prefix = "serve") const;
 };
@@ -424,6 +475,10 @@ class RenderService
     std::vector<RenderResult> WaitAll();
 
     ServiceStats Snapshot() const;
+
+    /** The raw totals Snapshot() derives from; a cluster merges these
+     *  across replicas (ServeTotals::Merge). */
+    ServeTotals Totals() const;
 
     /** Snapshot() published through the unified metrics surface:
      *  shorthand for Snapshot().PublishTo(registry). */

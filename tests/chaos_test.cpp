@@ -326,6 +326,87 @@ TEST(ChaosQuick, KillReplaysInFlightTicketsExactlyOnce)
     EXPECT_EQ(run.stats.replayed, flagged);
 }
 
+TEST(ChaosQuick, KillWithEveryAcceptInFlightReconciles)
+{
+    // The extreme kill: every request the victim accepted is still in
+    // flight at the death instant, so every one of them replays and
+    // the victim retires with zero real completions. Lifetime telemetry
+    // must still count each request once, and the victim's span must
+    // still count as capacity — it was busy that whole time.
+    std::string heavy_model = ChaosModels().front();
+    std::string light_model = heavy_model;
+    double heavy_ms = 0.0;
+    double light_ms = 0.0;
+    {
+        RenderService probe;
+        for (const std::string& model : ChaosModels()) {
+            probe.RegisterScene(model, FlexScene(model));
+            const double est = EstimatedServiceMs(probe.WarmScene(model));
+            if (heavy_ms == 0.0 || est > heavy_ms) {
+                heavy_ms = est;
+                heavy_model = model;
+            }
+            if (light_ms == 0.0 || est < light_ms) {
+                light_ms = est;
+                light_model = model;
+            }
+        }
+    }
+    ASSERT_LT(light_ms, heavy_ms);
+
+    // One scene homed on each of two shards: the heavy one on the
+    // victim, the light one on the survivor.
+    const ShardRouter router(2);
+    std::string victim_scene;
+    std::string survivor_scene;
+    for (int i = 0; victim_scene.empty() || survivor_scene.empty(); ++i) {
+        const std::string name = "scene-" + std::to_string(i);
+        std::string& slot =
+            router.Home(name) == 0 ? victim_scene : survivor_scene;
+        if (slot.empty()) slot = name;
+    }
+
+    ClusterConfig config;
+    config.shards = 2;
+    config.threads_per_shard = 1;
+    ShardedRenderService cluster(config);
+    cluster.RegisterScene(victim_scene, FlexScene(heavy_model));
+    cluster.RegisterScene(survivor_scene, FlexScene(light_model));
+    cluster.WarmScene(victim_scene);
+    cluster.WarmScene(survivor_scene);
+
+    SceneRequest request;
+    request.scene = survivor_scene;
+    cluster.Submit(request);
+    request.scene = victim_scene;
+    for (int i = 0; i < 3; ++i) cluster.Submit(request);
+
+    // Between the survivor going idle and the victim's first
+    // completion: all three victim accepts are in flight.
+    const double kill_ms = 0.5 * (light_ms + heavy_ms);
+    EXPECT_EQ(cluster.KillShard(0, kill_ms), 3u);
+    const std::vector<ClusterRenderResult> results = cluster.WaitAll();
+    ASSERT_EQ(results.size(), 4u);
+    for (const ClusterRenderResult& r : results) {
+        EXPECT_EQ(r.result.status, RequestStatus::kCompleted);
+        EXPECT_EQ(r.shard, 1u);
+    }
+
+    const ClusterStats stats = cluster.Snapshot();
+    EXPECT_EQ(stats.cluster_submitted, 4u);
+    EXPECT_EQ(stats.replayed, 3u);
+    EXPECT_EQ(stats.submitted, 7u);
+    EXPECT_EQ(stats.accepted, 4u);
+    EXPECT_EQ(stats.completed, 4u);
+    EXPECT_EQ(stats.latency_samples, 4u);
+    ASSERT_EQ(stats.tiers.size(), 1u);
+    EXPECT_EQ(stats.tiers[0].accepted, 4u);
+    // Busy time keeps the victim's phantom service, so utilization only
+    // stays a fraction if the victim's span stays in the capacity.
+    EXPECT_GT(stats.utilization, 0.0);
+    EXPECT_LE(stats.utilization, 1.0);
+}
+
 TEST(ChaosQuick, PartitionFailsRequestsTerminallyAndDeterministically)
 {
     const ChaosRun run = RunChaos(13u, FaultPlan::kPartition, 2);

@@ -746,6 +746,60 @@ TEST(ShardedRenderService, TierTelemetryMergesAcrossShardsAndResize)
               before.tiers[2].accepted + 1);
 }
 
+/** Every ServeSummary field, exactly: a 1-shard cluster must report
+ *  what a plain service reports for the same submission sequence. */
+void
+ExpectSameSummary(const ServeSummary& plain, const ServeSummary& cluster)
+{
+    EXPECT_EQ(cluster.submitted, plain.submitted);
+    EXPECT_EQ(cluster.accepted, plain.accepted);
+    EXPECT_EQ(cluster.rejected_queue_full, plain.rejected_queue_full);
+    EXPECT_EQ(cluster.shed_deadline, plain.shed_deadline);
+    EXPECT_EQ(cluster.completed, plain.completed);
+    EXPECT_EQ(cluster.p50_ms, plain.p50_ms);
+    EXPECT_EQ(cluster.p90_ms, plain.p90_ms);
+    EXPECT_EQ(cluster.p99_ms, plain.p99_ms);
+    EXPECT_EQ(cluster.mean_ms, plain.mean_ms);
+    EXPECT_EQ(cluster.max_ms, plain.max_ms);
+    EXPECT_EQ(cluster.makespan_ms, plain.makespan_ms);
+    EXPECT_EQ(cluster.sustained_qps, plain.sustained_qps);
+    EXPECT_EQ(cluster.utilization, plain.utilization);
+    EXPECT_EQ(cluster.batches_dispatched, plain.batches_dispatched);
+    EXPECT_EQ(cluster.fused_batches, plain.fused_batches);
+    EXPECT_EQ(cluster.batched_requests, plain.batched_requests);
+    EXPECT_EQ(cluster.max_batch_elements, plain.max_batch_elements);
+    EXPECT_EQ(cluster.batch_occupancy, plain.batch_occupancy);
+    EXPECT_EQ(cluster.sessions_opened, plain.sessions_opened);
+    EXPECT_EQ(cluster.session_frames, plain.session_frames);
+    EXPECT_EQ(cluster.delta_frames, plain.delta_frames);
+    EXPECT_EQ(cluster.session_full_frames, plain.session_full_frames);
+    EXPECT_EQ(cluster.coherence_breaks, plain.coherence_breaks);
+    EXPECT_EQ(cluster.delta_hit_rate, plain.delta_hit_rate);
+    EXPECT_EQ(cluster.session_mean_reuse, plain.session_mean_reuse);
+    EXPECT_EQ(cluster.delta_savings_ms, plain.delta_savings_ms);
+    ASSERT_EQ(cluster.tiers.size(), plain.tiers.size());
+    for (std::size_t t = 0; t < plain.tiers.size(); ++t) {
+        const TierStats& a = plain.tiers[t];
+        const TierStats& b = cluster.tiers[t];
+        EXPECT_EQ(b.name, a.name) << "tier " << t;
+        EXPECT_EQ(b.weight, a.weight) << "tier " << t;
+        EXPECT_EQ(b.shed_budget, a.shed_budget) << "tier " << t;
+        EXPECT_EQ(b.default_deadline_ms, a.default_deadline_ms)
+            << "tier " << t;
+        EXPECT_EQ(b.submitted, a.submitted) << "tier " << t;
+        EXPECT_EQ(b.accepted, a.accepted) << "tier " << t;
+        EXPECT_EQ(b.rejected_queue_full, a.rejected_queue_full)
+            << "tier " << t;
+        EXPECT_EQ(b.shed_deadline, a.shed_deadline) << "tier " << t;
+        EXPECT_EQ(b.busy_ms, a.busy_ms) << "tier " << t;
+        EXPECT_EQ(b.latency.p50_ms, a.latency.p50_ms) << "tier " << t;
+        EXPECT_EQ(b.latency.p90_ms, a.latency.p90_ms) << "tier " << t;
+        EXPECT_EQ(b.latency.p99_ms, a.latency.p99_ms) << "tier " << t;
+        EXPECT_EQ(b.latency.mean_ms, a.latency.mean_ms) << "tier " << t;
+        EXPECT_EQ(b.latency.max_ms, a.latency.max_ms) << "tier " << t;
+    }
+}
+
 TEST(ShardedRenderService, SingleShardMatchesPlainRenderService)
 {
     // A 1-shard cluster is a RenderService with routing overhead only:
@@ -754,11 +808,12 @@ TEST(ShardedRenderService, SingleShardMatchesPlainRenderService)
     ServeConfig serve_config;
     serve_config.threads = 2;
     serve_config.admission.max_queue_depth = 4;
+    serve_config.admission.tiers = DeterminismTiers();
     RenderService plain(serve_config);
     ClusterConfig cluster_config;
     cluster_config.shards = 1;
     cluster_config.threads_per_shard = 2;
-    cluster_config.admission.max_queue_depth = 4;
+    cluster_config.admission = serve_config.admission;
     ShardedRenderService cluster(cluster_config);
 
     plain.RegisterScene("ngp", FlexScene("Instant-NGP"));
@@ -771,6 +826,7 @@ TEST(ShardedRenderService, SingleShardMatchesPlainRenderService)
     for (int i = 0; i < 8; ++i) {
         SceneRequest request;
         request.scene = "ngp";
+        request.tier = static_cast<std::size_t>(i % 3);
         request.arrival_ms = 0.0;
         request.deadline_ms = (i % 2 == 0) ? 0.0 : 3.5 * est;
         plain_tickets.push_back(plain.Submit(request));
@@ -786,10 +842,77 @@ TEST(ShardedRenderService, SingleShardMatchesPlainRenderService)
     }
     const ServiceStats plain_stats = plain.Snapshot();
     const ClusterStats cluster_stats = cluster.Snapshot();
-    EXPECT_EQ(cluster_stats.accepted, plain_stats.accepted);
-    EXPECT_EQ(cluster_stats.p50_ms, plain_stats.p50_ms);
-    EXPECT_EQ(cluster_stats.p99_ms, plain_stats.p99_ms);
-    EXPECT_EQ(cluster_stats.sustained_qps, plain_stats.sustained_qps);
+    EXPECT_GT(plain_stats.accepted, 0u);
+    EXPECT_GT(plain_stats.utilization, 0.0);
+    ExpectSameSummary(plain_stats, cluster_stats);
+}
+
+TEST(ShardedRenderService, SingleShardMatchesWithBatchesAndSessions)
+{
+    // The same parity with every derived ratio in play: a batch window
+    // fuses same-scene arrivals and a trajectory session prices delta
+    // frames, including one coherence break.
+    const double est = [] {
+        RenderService probe;
+        probe.RegisterScene("ngp", FlexScene("Instant-NGP"));
+        return EstimatedServiceMs(probe.WarmScene("ngp"));
+    }();
+    ServeConfig serve_config;
+    serve_config.threads = 2;
+    serve_config.admission.max_queue_depth = 6;
+    serve_config.batch_window_ms = 0.7 * est;
+    serve_config.max_batch_elements = 3;
+    RenderService plain(serve_config);
+    ClusterConfig cluster_config;
+    cluster_config.shards = 1;
+    cluster_config.threads_per_shard = 2;
+    cluster_config.admission = serve_config.admission;
+    cluster_config.batch_window_ms = serve_config.batch_window_ms;
+    cluster_config.max_batch_elements = serve_config.max_batch_elements;
+    ShardedRenderService cluster(cluster_config);
+
+    plain.RegisterScene("ngp", FlexScene("Instant-NGP"));
+    cluster.RegisterScene("ngp", FlexScene("Instant-NGP"));
+    plain.WarmScene("ngp");
+    cluster.WarmScene("ngp");
+    const SessionId plain_session = plain.OpenSession("ngp");
+    const SessionId cluster_session = cluster.OpenSession("ngp");
+
+    for (int k = 0; k < 18; ++k) {
+        SceneRequest request;
+        request.scene = "ngp";
+        request.arrival_ms = 0.4 * est * static_cast<double>(k);
+        if (k % 3 == 2) {
+            // Session frame: a smooth dolly, with one teleport.
+            Pose pose;
+            pose.x = k == 14 ? 5.0 : 0.03 * static_cast<double>(k);
+            SubmitOptions plain_options;
+            plain_options.session = plain_session;
+            plain_options.pose = pose;
+            SubmitOptions cluster_options = plain_options;
+            cluster_options.session = cluster_session;
+            plain.Submit(request, plain_options);
+            cluster.Submit(request, cluster_options);
+        } else {
+            request.deadline_ms = (k % 4 == 3) ? 2.0 * est : 0.0;
+            plain.Submit(request);
+            cluster.Submit(request);
+        }
+    }
+    const std::vector<RenderResult> a = plain.WaitAll();
+    const std::vector<ClusterRenderResult> b = cluster.WaitAll();
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i].status, b[i].result.status) << i;
+        EXPECT_EQ(a[i].latency_ms, b[i].result.latency_ms) << i;
+        EXPECT_EQ(a[i].batch_elements, b[i].result.batch_elements) << i;
+    }
+    const ServiceStats plain_stats = plain.Snapshot();
+    const ClusterStats cluster_stats = cluster.Snapshot();
+    EXPECT_GE(plain_stats.fused_batches, 1u);
+    EXPECT_GE(plain_stats.delta_frames, 1u);
+    EXPECT_GE(plain_stats.coherence_breaks, 1u);
+    ExpectSameSummary(plain_stats, cluster_stats);
 }
 
 TEST(ShardedRenderService, MarginalAwareProbeKeepsBatchJoinersHome)

@@ -3,8 +3,9 @@
  * Tests for the observability layer (src/obs/): the virtual trace
  * projection's thread-count invariance, span nesting/parentage across
  * the serving path (single service, batch join, cluster spill), the
- * unified MetricsRegistry against ServiceStats, the disabled path's
- * no-op guarantee, and the FLEX_CHECK flight-recorder dump.
+ * unified MetricsRegistry against ServiceStats and ClusterStats, the
+ * disabled path's no-op guarantee, and the FLEX_CHECK flight-recorder
+ * dump.
  */
 #include <gtest/gtest.h>
 
@@ -363,6 +364,137 @@ TEST(MetricsRegistry, SnapshotPublishMatchesServiceStats)
     EXPECT_NE(json.find("\"counters\""), std::string::npos);
     EXPECT_NE(json.find("\"gauges\""), std::string::npos);
     EXPECT_NE(json.find("\"serve.submitted\""), std::string::npos);
+}
+
+/** The five digest gauges SetLatency publishes under @p name. */
+void
+ExpectPublishedLatency(const MetricsRegistry& registry,
+                       const std::string& name, const LatencySummary& want)
+{
+    EXPECT_EQ(registry.Gauge(name + ".p50_ms"), want.p50_ms) << name;
+    EXPECT_EQ(registry.Gauge(name + ".p90_ms"), want.p90_ms) << name;
+    EXPECT_EQ(registry.Gauge(name + ".p99_ms"), want.p99_ms) << name;
+    EXPECT_EQ(registry.Gauge(name + ".mean_ms"), want.mean_ms) << name;
+    EXPECT_EQ(registry.Gauge(name + ".max_ms"), want.max_ms) << name;
+}
+
+TEST(MetricsRegistry, ClusterPublishMatchesClusterStats)
+{
+    // An overloaded, tiered 3-shard cluster with a kill: every fleet
+    // counter, gauge, latency digest, and tier row the export carries
+    // must read back exactly as the Snapshot() field it came from.
+    TierPolicy gold;
+    gold.name = "gold";
+    gold.weight = 3.0;
+    TierPolicy bulk;
+    bulk.name = "bulk";
+    ClusterConfig config;
+    config.shards = 3;
+    config.threads_per_shard = 1;
+    config.admission.max_queue_depth = 3;
+    config.admission.tiers = {gold, bulk};
+    ShardedRenderService cluster(config);
+    cluster.RegisterScene("ngp", NgpFlexScene());
+    cluster.RegisterScene("nerf", NerfGpuScene());
+    const double est = EstimatedServiceMs(cluster.WarmScene("ngp"));
+    cluster.WarmScene("nerf");
+    for (int i = 0; i < 24; ++i) {
+        SceneRequest request;
+        request.scene = (i % 3 == 0) ? "nerf" : "ngp";
+        request.tier = static_cast<std::size_t>(i % 2);
+        request.arrival_ms = 0.25 * est * static_cast<double>(i);
+        request.deadline_ms = (i % 4 == 0) ? 2.0 * est : 0.0;
+        cluster.Submit(request);
+        if (i == 15) {
+            cluster.KillShard(cluster.router().Home("nerf"),
+                              request.arrival_ms);
+        }
+    }
+    cluster.WaitAll();
+
+    const ClusterStats stats = cluster.Snapshot();
+    EXPECT_GT(stats.spilled, 0u);
+    MetricsRegistry registry;
+    stats.PublishTo(registry);
+
+    const auto counter = [&](const std::string& name) {
+        return registry.Counter("cluster." + name);
+    };
+    const auto gauge = [&](const std::string& name) {
+        return registry.Gauge("cluster." + name);
+    };
+    const auto as_double = [](std::uint64_t value) {
+        return static_cast<double>(value);
+    };
+    EXPECT_EQ(counter("submitted"), as_double(stats.submitted));
+    EXPECT_EQ(counter("cluster_submitted"),
+              as_double(stats.cluster_submitted));
+    EXPECT_EQ(counter("accepted"), as_double(stats.accepted));
+    EXPECT_EQ(counter("rejected_queue_full"),
+              as_double(stats.rejected_queue_full));
+    EXPECT_EQ(counter("shed_deadline"), as_double(stats.shed_deadline));
+    EXPECT_EQ(counter("completed"), as_double(stats.completed));
+    EXPECT_EQ(counter("spilled"), as_double(stats.spilled));
+    EXPECT_EQ(counter("spill_recompiles"),
+              as_double(stats.spill_recompiles));
+    EXPECT_EQ(counter("transport_failures"),
+              as_double(stats.transport_failures));
+    EXPECT_EQ(counter("replayed"), as_double(stats.replayed));
+    EXPECT_EQ(counter("killed_shards"), as_double(stats.killed_shards));
+    EXPECT_EQ(counter("p2c_routed"), as_double(stats.p2c_routed));
+    EXPECT_EQ(counter("replica_served"), as_double(stats.replica_served));
+    EXPECT_EQ(counter("replication_refreshes"),
+              as_double(stats.replication_refreshes));
+    EXPECT_EQ(counter("batches_dispatched"),
+              as_double(stats.batches_dispatched));
+    EXPECT_EQ(counter("fused_batches"), as_double(stats.fused_batches));
+    EXPECT_EQ(counter("batched_requests"),
+              as_double(stats.batched_requests));
+    EXPECT_EQ(gauge("shards"), as_double(stats.shards));
+    EXPECT_EQ(gauge("live_shards"), as_double(stats.live_shards));
+    EXPECT_EQ(gauge("replicated_scenes"),
+              as_double(stats.replicated_scenes));
+    EXPECT_EQ(gauge("shed_rate"), stats.ShedRate());
+    EXPECT_EQ(gauge("spill_rate"), stats.SpillRate());
+    EXPECT_EQ(gauge("makespan_ms"), stats.makespan_ms);
+    EXPECT_EQ(gauge("sustained_qps"), stats.sustained_qps);
+    EXPECT_EQ(gauge("utilization"), stats.utilization);
+    EXPECT_EQ(gauge("batch_occupancy"), stats.batch_occupancy);
+    EXPECT_EQ(gauge("max_batch_elements"),
+              as_double(stats.max_batch_elements));
+    LatencySummary fleet;
+    fleet.p50_ms = stats.p50_ms;
+    fleet.p90_ms = stats.p90_ms;
+    fleet.p99_ms = stats.p99_ms;
+    fleet.mean_ms = stats.mean_ms;
+    fleet.max_ms = stats.max_ms;
+    ExpectPublishedLatency(registry, "cluster.latency", fleet);
+
+    ASSERT_EQ(stats.tiers.size(), 2u);
+    for (const TierStats& tier : stats.tiers) {
+        const std::string base = "tier." + tier.name;
+        EXPECT_EQ(counter(base + ".submitted"), as_double(tier.submitted));
+        EXPECT_EQ(counter(base + ".accepted"), as_double(tier.accepted));
+        EXPECT_EQ(counter(base + ".rejected_queue_full"),
+                  as_double(tier.rejected_queue_full));
+        EXPECT_EQ(counter(base + ".shed_deadline"),
+                  as_double(tier.shed_deadline));
+        EXPECT_EQ(gauge(base + ".shed_rate"), tier.ShedRate());
+        EXPECT_GT(tier.busy_ms, 0.0);
+        EXPECT_EQ(gauge(base + ".busy_ms"), tier.busy_ms);
+        ExpectPublishedLatency(registry, "cluster." + base + ".latency",
+                               tier.latency);
+    }
+
+    ASSERT_EQ(stats.per_shard.size(), 3u);
+    for (std::size_t i = 0; i < stats.per_shard.size(); ++i) {
+        const ShardTelemetry& shard = stats.per_shard[i];
+        const std::string base = "shard" + std::to_string(i);
+        EXPECT_EQ(gauge(base + ".alive"), shard.alive ? 1.0 : 0.0);
+        EXPECT_EQ(counter(base + ".spill_in"), as_double(shard.spill_in));
+        EXPECT_EQ(counter(base + ".accepted"),
+                  as_double(shard.service.accepted));
+    }
 }
 
 TEST(TraceDisabled, RecordsNothingAndKeepsProbesCheap)
