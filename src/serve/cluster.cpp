@@ -1,6 +1,7 @@
 #include "serve/cluster.h"
 
 #include <algorithm>
+#include <cmath>
 #include <unordered_set>
 #include <utility>
 
@@ -104,7 +105,8 @@ ShardedRenderService::ShardedRenderService(const ClusterConfig& config)
       shards_(MakeReplicas(config, config.shards)),
       alive_(config.shards, 1), aux_(config.shards)
 {
-    if (config.spill_recompile_factor < 0.0) {
+    if (!std::isfinite(config.spill_recompile_factor) ||
+        config.spill_recompile_factor < 0.0) {
         Fatal("spill_recompile_factor must be >= 0");
     }
     if (config.replication.top_k > 0 && config.replication.factor == 0) {
@@ -346,8 +348,7 @@ ShardedRenderService::Submit(const SceneRequest& request,
                  TraceArg::Int("chosen", static_cast<std::int64_t>(chosen)),
                  TraceArg::Int("accepted", (a_ok || b_ok) ? 1 : 0)});
         }
-    } else if (config_.enable_spill && LiveCountLocked() > 1 &&
-               config_.max_spill_candidates > 0) {
+    } else if (config_.enable_spill && LiveCountLocked() > 1) {
         const AdmissionController::Verdict at_home =
             shards_[home]->admission().Probe(
                 request.arrival_ms,
@@ -364,16 +365,14 @@ ShardedRenderService::Submit(const SceneRequest& request,
                  TraceArg::Num("wait_ms", at_home.wait_ms)});
         }
         if (at_home.outcome != Outcome::kAccepted) {
-            // Walk the rank past the live home, skipping dead shards,
-            // probing up to max_spill_candidates live ones.
-            std::size_t examined = 0;
-            const std::size_t candidates = std::min(
-                config_.max_spill_candidates, LiveCountLocked() - 1);
-            for (std::size_t pos = 0;
-                 pos < desc.rank.size() && examined < candidates; ++pos) {
-                const std::size_t candidate = desc.rank[pos];
-                if (candidate == home || !alive_[candidate]) continue;
-                ++examined;
+            // Probe the first live shard in the rank past the home.
+            const auto next = std::find_if(
+                desc.rank.begin(), desc.rank.end(),
+                [&](std::size_t shard) {
+                    return shard != home && alive_[shard];
+                });
+            if (next != desc.rank.end()) {
+                const std::size_t candidate = *next;
                 const double candidate_surcharge =
                     desc.pinned_on[candidate]
                         ? 0.0
@@ -404,11 +403,10 @@ ShardedRenderService::Submit(const SceneRequest& request,
                     spilled = true;
                     cold_spill = !desc.pinned_on[candidate];
                     surcharge_ms = candidate_surcharge;
-                    break;
                 }
             }
-            // No candidate would take it either: fall through to the
-            // home shard, which records the real shed/reject verdict.
+            // The candidate would not take it either: fall through to
+            // the home shard, which records the real shed/reject verdict.
         }
     }
 

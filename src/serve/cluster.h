@@ -14,10 +14,10 @@
  *               between two replicas           less-loaded verdict wins
  *          ──> else probe home admission      would it accept?
  *          ──> yes: home shard Submit         prepared-pin replay
- *          ──> no: probe next-ranked shards   overload-aware spill,
+ *          ──> no: probe next live shard      overload-aware spill,
  *               (recompile surcharge when      charged to the spill
  *                the scene is cold there)      shard's virtual clock
- *          ──> all would shed: home Submit    records the real verdict
+ *          ──> it would shed too: home Submit records the real verdict
  *
  * Scene affinity is the point: every scene's prepared-frame pin lives
  * on its home shard (plus any replicas holding it deliberately), so the
@@ -137,10 +137,9 @@ struct ClusterConfig {
     std::size_t plan_cache_capacity = 0;
     /** Per-replica admission policy (every replica gets a copy). */
     AdmissionPolicy admission;
-    /** Try next-ranked shards when the home would not accept. */
+    /** Try the next live shard in the rank when the home would not
+     *  accept. */
     bool enable_spill = true;
-    /** How many next-ranked shards a spill may probe (>= 1). */
-    std::size_t max_spill_candidates = 1;
     /**
      * Virtual recompile cost a spilled request pays on a shard that
      * does not hold the scene's pin yet, as a fraction of the scene's

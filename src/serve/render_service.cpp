@@ -1,6 +1,7 @@
 #include "serve/render_service.h"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 
 #include "common/logging.h"
@@ -289,7 +290,7 @@ RenderService::RenderService(const ServeConfig& config)
       max_batch_elements_(config.max_batch_elements),
       pool_(config.threads)
 {
-    if (batch_window_ms_ < 0.0) {
+    if (!std::isfinite(batch_window_ms_) || batch_window_ms_ < 0.0) {
         Fatal("ServeConfig::batch_window_ms must be >= 0");
     }
     if (batch_window_ms_ > 0.0 && max_batch_elements_ == 0) {

@@ -270,26 +270,6 @@ DecodeSceneRequest(const std::string& frame)
 }
 
 std::string
-EncodeTicket(const WireTicket& ticket)
-{
-    std::string payload;
-    AppendU64(payload, ticket.ticket);
-    AppendU64(payload, ticket.shard);
-    return Frame(MessageType::kTicket, payload);
-}
-
-WireTicket
-DecodeTicket(const std::string& frame)
-{
-    Reader reader = OpenFrame(frame, MessageType::kTicket);
-    WireTicket ticket;
-    ticket.ticket = reader.U64();
-    ticket.shard = reader.U64();
-    reader.Finish();
-    return ticket;
-}
-
-std::string
 EncodeRenderResult(const RenderResult& result)
 {
     std::string payload;
@@ -308,7 +288,11 @@ DecodeRenderResult(const std::string& frame)
 {
     Reader reader = OpenFrame(frame, MessageType::kRenderResult);
     RenderResult result;
-    result.status = static_cast<RequestStatus>(reader.U8());
+    const std::uint8_t status = reader.U8();
+    if (status > static_cast<std::uint8_t>(RequestStatus::kFailedTransport)) {
+        Fatal("wire: unknown request status " + std::to_string(status));
+    }
+    result.status = static_cast<RequestStatus>(status);
     result.scene = reader.String();
     result.tier = static_cast<std::size_t>(reader.U64());
     result.cost = ReadFrameCost(reader);

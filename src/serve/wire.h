@@ -4,7 +4,7 @@
  *
  * The simulated cluster keeps plans, prepared handles, and plan caches
  * strictly shard-local — only *descriptions* cross the wire: scene
- * requests, tickets, render results, and telemetry snapshots. Each
+ * requests, render results, and telemetry snapshots. Each
  * message is a length-prefixed binary frame:
  *
  *     [magic u32][version u16][type u8][reserved u8][payload u32][payload...]
@@ -12,9 +12,10 @@
  * Encoding is explicit little-endian byte serialization (no struct
  * memcpy), so frames are identical across hosts and the decode side can
  * be validated byte-for-byte. Any malformed frame — wrong magic, wrong
- * version, wrong message type, or a size that disagrees with the header
- * — is a `Fatal` error mentioning "wire", because a version skew between
- * controller and shard is an operator error, not a recoverable fault.
+ * version, wrong message type, a size that disagrees with the header,
+ * or an unknown result status — is a `Fatal` error mentioning "wire",
+ * because a version skew between controller and shard is an operator
+ * error, not a recoverable fault.
  *
  * Determinism contract: Encode(x) is a pure function of x, and
  * Decode(Encode(x)) == x field-for-field (FrameCost has exact
@@ -40,18 +41,12 @@ inline constexpr std::uint16_t kVersion = 1;
 /// Fixed header size in bytes.
 inline constexpr std::size_t kHeaderSize = 12;
 
-/// Message type tags carried in the frame header.
+/// Message type tags carried in the frame header. Tag 2 is retired and
+/// not reused, so the remaining tags keep their values.
 enum class MessageType : std::uint8_t {
     kSceneRequest = 1,
-    kTicket = 2,
     kRenderResult = 3,
     kShardSnapshot = 4,
-};
-
-/// A cluster-issued ticket as it crosses the wire.
-struct WireTicket {
-    std::uint64_t ticket = 0;
-    std::uint64_t shard = 0;
 };
 
 /// The per-shard telemetry summary a controller pulls over the wire to
@@ -70,14 +65,13 @@ struct WireSnapshot {
 
 /// Encoders: pure functions of their argument.
 std::string EncodeSceneRequest(const SceneRequest& request);
-std::string EncodeTicket(const WireTicket& ticket);
 std::string EncodeRenderResult(const RenderResult& result);
 std::string EncodeSnapshot(const WireSnapshot& snapshot);
 
 /// Decoders: `Fatal` (message contains "wire") on magic/version/type
-/// mismatch or on any frame whose size disagrees with its header.
+/// mismatch, on any frame whose size disagrees with its header, and on a
+/// result status outside `RequestStatus`.
 SceneRequest DecodeSceneRequest(const std::string& frame);
-WireTicket DecodeTicket(const std::string& frame);
 RenderResult DecodeRenderResult(const std::string& frame);
 WireSnapshot DecodeSnapshot(const std::string& frame);
 

@@ -485,6 +485,21 @@ WireRequest()
     return request;
 }
 
+RenderResult
+WireResult()
+{
+    RenderResult result;
+    result.status = RequestStatus::kShedDeadline;
+    result.scene = "ngp";
+    result.tier = 2;
+    result.cost.latency_ms = 4.5;
+    result.cost.gemm_macs = 1e9;
+    result.queue_wait_ms = 1.25;
+    result.latency_ms = 5.75;
+    result.batch_elements = 3;
+    return result;
+}
+
 TEST(WireFormat, RoundTripsEveryField)
 {
     const SceneRequest request = WireRequest();
@@ -496,13 +511,16 @@ TEST(WireFormat, RoundTripsEveryField)
     EXPECT_EQ(back.deadline_ms, request.deadline_ms);
     EXPECT_EQ(back.arrival_ms, request.arrival_ms);
 
-    wire::WireTicket ticket;
-    ticket.ticket = 0xDEADBEEFCAFEull;
-    ticket.shard = 3;
-    const wire::WireTicket ticket_back =
-        wire::DecodeTicket(wire::EncodeTicket(ticket));
-    EXPECT_EQ(ticket_back.ticket, ticket.ticket);
-    EXPECT_EQ(ticket_back.shard, ticket.shard);
+    const RenderResult result = WireResult();
+    const RenderResult result_back =
+        wire::DecodeRenderResult(wire::EncodeRenderResult(result));
+    EXPECT_EQ(result_back.status, result.status);
+    EXPECT_EQ(result_back.scene, result.scene);
+    EXPECT_EQ(result_back.tier, result.tier);
+    EXPECT_EQ(result_back.cost, result.cost);
+    EXPECT_EQ(result_back.queue_wait_ms, result.queue_wait_ms);
+    EXPECT_EQ(result_back.latency_ms, result.latency_ms);
+    EXPECT_EQ(result_back.batch_elements, result.batch_elements);
 
     wire::WireSnapshot snapshot;
     snapshot.shard = 2;
@@ -521,6 +539,12 @@ TEST(WireFormat, RoundTripsEveryField)
     EXPECT_EQ(snap_back.accepted, snapshot.accepted);
     EXPECT_EQ(snap_back.busy_ms, snapshot.busy_ms);
     EXPECT_EQ(snap_back.p99_latency_ms, snapshot.p99_latency_ms);
+
+    // The header type byte (offset 6) is part of the format: a retired
+    // tag must not renumber the live ones.
+    EXPECT_EQ(wire::EncodeSceneRequest(request)[6], 1);
+    EXPECT_EQ(wire::EncodeRenderResult(result)[6], 3);
+    EXPECT_EQ(wire::EncodeSnapshot(snapshot)[6], 4);
 }
 
 TEST(WireFormatDeath, RejectsWrongMagic)
@@ -539,10 +563,15 @@ TEST(WireFormatDeath, RejectsVersionSkew)
 
 TEST(WireFormatDeath, RejectsWrongMessageType)
 {
-    wire::WireTicket ticket;
-    ticket.ticket = 7;
-    const std::string frame = wire::EncodeTicket(ticket);
+    const std::string frame = wire::EncodeRenderResult(WireResult());
     EXPECT_DEATH(wire::DecodeSceneRequest(frame), "wire");
+}
+
+TEST(WireFormatDeath, RejectsUnknownStatus)
+{
+    std::string frame = wire::EncodeRenderResult(WireResult());
+    frame[wire::kHeaderSize] = 9;  // status u8 leads the payload
+    EXPECT_DEATH(wire::DecodeRenderResult(frame), "wire");
 }
 
 TEST(WireFormatDeath, RejectsTruncatedFrame)

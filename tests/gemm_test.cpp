@@ -178,6 +178,20 @@ TEST(Engine, DenseWaveCountIsTilesTimesGrid)
     EXPECT_DOUBLE_EQ(dense.Run(a, b).waves, 8 * 4.0);
 }
 
+TEST(Engine, DenseShapeWaveCountIsTileTriplesTimesGrid)
+{
+    // A dense 256^3 INT16 GEMM on the 64-wide array needs 4 x 4 x 4 = 64
+    // tile triples of 64 waves each.
+    GemmEngineConfig config;
+    config.precision = Precision::kInt16;
+    config.compute_output = false;
+    config.support_sparsity = false;
+    config.use_flex_codec = false;
+    const GemmResult r =
+        GemmEngine(config).RunFromShape({256, 256, 256, 1.0, 1.0, 0.0});
+    EXPECT_DOUBLE_EQ(r.waves, 64 * 64.0);
+}
+
 TEST(Engine, DetailedAndTiledAgreeOnWorkCounts)
 {
     Rng rng(7);

@@ -370,6 +370,19 @@ TEST(AdmissionController, RejectsNonFiniteArrivalAndDeadline)
     EXPECT_EQ(admission.counters().tiers[0].submitted, 0u);
 }
 
+TEST(RenderService, RejectsNonFiniteBatchWindow)
+{
+    // A NaN window fails every `> 0` test, so it would silently turn
+    // batching off instead of failing the `>= 0` contract.
+    for (const double window : {std::numeric_limits<double>::quiet_NaN(),
+                                std::numeric_limits<double>::infinity()}) {
+        ServeConfig config;
+        config.threads = 1;
+        config.batch_window_ms = window;
+        EXPECT_DEATH(RenderService service(config), "batch_window_ms");
+    }
+}
+
 TEST(AdmissionController, WfqShieldsPaidTierFromLowTierFlood)
 {
     // The starvation regression: a sustained 2x-overload flood of

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <set>
 #include <string>
 #include <vector>
@@ -300,6 +301,21 @@ TEST(LatencyHistogram, MergeEdgeCasesEmptyAndSingleton)
     EXPECT_EQ(other.Min(), 3.0);
     EXPECT_EQ(other.Max(), 7.0);
     EXPECT_EQ(other.sum(), 10.0);
+}
+
+TEST(ShardedRenderService, RejectsNonFiniteSpillRecompileFactor)
+{
+    // A NaN factor would pass the `< 0` check and surface only at the
+    // first cold spill, as a misleading negative-latency admission error.
+    for (const double factor : {std::numeric_limits<double>::quiet_NaN(),
+                                std::numeric_limits<double>::infinity()}) {
+        ClusterConfig config;
+        config.shards = 2;
+        config.threads_per_shard = 1;
+        config.spill_recompile_factor = factor;
+        EXPECT_DEATH(ShardedRenderService cluster(config),
+                     "spill_recompile_factor");
+    }
 }
 
 TEST(ShardedRenderService, SpillPaysRecompileOnceAndKeepsInvariants)
