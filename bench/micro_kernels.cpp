@@ -2,8 +2,8 @@
  * @file
  * Google-benchmark micro-kernels: simulator hot paths (format codecs, the
  * fused MAC datapath, NoC delivery, Benes routing, grid queries, grid-field
- * renders, engine runs). These track the simulator's own speed, not
- * modelled hardware latency.
+ * renders, engine runs, admission probes, the wire codec). These track
+ * the simulator's own speed, not modelled hardware latency.
  */
 #include <benchmark/benchmark.h>
 
@@ -19,6 +19,8 @@
 #include "noc/hmf_noc.h"
 #include "runtime/sweep_runner.h"
 #include "runtime/thread_pool.h"
+#include "serve/admission.h"
+#include "serve/wire.h"
 #include "sparse/flex_codec.h"
 
 namespace flexnerfer {
@@ -200,6 +202,68 @@ BM_SweepRunnerStatisticalGrid(benchmark::State& state)
     }
 }
 BENCHMARK(BM_SweepRunnerStatisticalGrid)->Arg(1)->Arg(4)->Arg(8);
+
+void
+BM_AdmissionProbe(benchmark::State& state)
+{
+    // The shard router's preview: a 2-tier WFQ controller holding 64
+    // queued requests, probed at an arrival that retires a few of them.
+    AdmissionPolicy policy;
+    policy.max_queue_depth = 0;
+    TierPolicy paid;
+    paid.weight = 4.0;
+    TierPolicy free_tier;
+    free_tier.weight = 1.0;
+    policy.tiers = {paid, free_tier};
+    AdmissionController admission(policy);
+    Rng rng(11);
+    for (int i = 0; i < 64; ++i) {
+        admission.Admit(0.0, rng.Uniform(0.5, 1.5), 0.0,
+                        static_cast<std::size_t>(i % 2));
+    }
+    const double arrival_ms = rng.Uniform(7.5, 8.5);
+    const double est_ms = rng.Uniform(0.5, 1.5);
+    for (auto _ : state) {
+        const AdmissionController::Verdict verdict =
+            admission.Probe(arrival_ms, est_ms, 0.0, 1);
+        benchmark::DoNotOptimize(verdict.completion_ms);
+    }
+}
+BENCHMARK(BM_AdmissionProbe);
+
+void
+BM_WireRoundTrip(benchmark::State& state)
+{
+    // One cross-host hop each way: the request frame out, the result
+    // frame back, encoded into and decoded out of reused buffers.
+    Rng rng(12);
+    SceneRequest request;
+    request.scene = "tensorf_palace_replica";
+    request.tier = 1;
+    request.deadline_ms = rng.Uniform(5.0, 50.0);
+    request.arrival_ms = rng.Uniform(0.0, 1e6);
+    RenderResult result;
+    result.scene = request.scene;
+    result.tier = request.tier;
+    result.cost.latency_ms = rng.Uniform(1.0, 10.0);
+    result.cost.gemm_macs = rng.Uniform(1e8, 1e9);
+    result.queue_wait_ms = rng.Uniform(0.0, 5.0);
+    result.latency_ms = rng.Uniform(1.0, 20.0);
+    std::string frame;
+    SceneRequest request_back;
+    RenderResult result_back;
+    for (auto _ : state) {
+        wire::EncodeSceneRequest(request, frame);
+        wire::DecodeSceneRequest(frame, request_back);
+        wire::EncodeRenderResult(result, frame);
+        wire::DecodeRenderResult(frame, result_back);
+        benchmark::DoNotOptimize(frame.data());
+        benchmark::DoNotOptimize(request_back.arrival_ms);
+        benchmark::DoNotOptimize(result_back.latency_ms);
+        benchmark::ClobberMemory();
+    }
+}
+BENCHMARK(BM_WireRoundTrip);
 
 }  // namespace
 }  // namespace flexnerfer

@@ -76,6 +76,8 @@ AdmissionController::AdmissionController(const AdmissionPolicy& policy)
     }
     schedule_.queues.resize(queue_weights_.size());
     schedule_.lanes.resize(tiers_.size());
+    probe_queues_.resize(queue_weights_.size());
+    delay_backlog_.resize(queue_weights_.size());
     counters_.tiers.resize(tiers_.size());
 }
 
@@ -85,26 +87,36 @@ AdmissionController::QueueOf(std::size_t tier) const
     return policy_.discipline == AdmissionDiscipline::kFifo ? 0 : tier;
 }
 
+double
+AdmissionController::ClampArrival(double arrival_ms) const
+{
+    const double clamped = std::max(arrival_ms, 0.0);
+    return schedule_.saw_arrival
+               ? std::max(clamped, schedule_.last_arrival_ms)
+               : clamped;
+}
+
 void
-AdmissionController::Drain(Schedule& schedule, double now_ms) const
+AdmissionController::AdvanceFluid(std::vector<FluidQueue>& queues,
+                                  double& virtual_time, double now_ms) const
 {
     // Advance the fluid device from its last event to now: backlogged
     // queues drain at weight-proportional rates, re-planned at every
     // queue-emptying event, and the WFQ virtual clock advances at
     // 1 / (sum of backlogged weights).
-    double t = schedule.last_event_ms;
+    double t = schedule_.last_event_ms;
     while (t < now_ms) {
         double weight_sum = 0.0;
-        for (std::size_t q = 0; q < schedule.queues.size(); ++q) {
-            if (schedule.queues[q].backlog_ms > 0.0) {
+        for (std::size_t q = 0; q < queues.size(); ++q) {
+            if (queues[q].backlog_ms > 0.0) {
                 weight_sum += queue_weights_[q];
             }
         }
         if (weight_sum <= 0.0) break;  // device idle through to now
         double dt = now_ms - t;
         bool emptied_first = false;
-        for (std::size_t q = 0; q < schedule.queues.size(); ++q) {
-            const FluidQueue& queue = schedule.queues[q];
+        for (std::size_t q = 0; q < queues.size(); ++q) {
+            const FluidQueue& queue = queues[q];
             if (queue.backlog_ms <= 0.0) continue;
             const double to_empty =
                 queue.backlog_ms * weight_sum / queue_weights_[q];
@@ -113,8 +125,8 @@ AdmissionController::Drain(Schedule& schedule, double now_ms) const
                 emptied_first = true;
             }
         }
-        for (std::size_t q = 0; q < schedule.queues.size(); ++q) {
-            FluidQueue& queue = schedule.queues[q];
+        for (std::size_t q = 0; q < queues.size(); ++q) {
+            FluidQueue& queue = queues[q];
             if (queue.backlog_ms <= 0.0) continue;
             const double drained =
                 dt * queue_weights_[q] / weight_sum;
@@ -122,29 +134,31 @@ AdmissionController::Drain(Schedule& schedule, double now_ms) const
             queue.drained_ms += drained;
             if (queue.backlog_ms <= kWorkDust) {
                 // Empty exactly: cumulative drained snaps to cumulative
-                // enqueued, so every request of the queue retires below.
+                // enqueued, so every request of the queue retires.
                 queue.backlog_ms = 0.0;
                 queue.drained_ms = queue.enqueued_ms;
             }
         }
-        schedule.virtual_time += dt / weight_sum;
+        virtual_time += dt / weight_sum;
         if (!emptied_first) break;  // drained clean through to now
         t += dt;
     }
-    schedule.last_event_ms = now_ms;
+}
 
-    // Retire requests whose work has fully drained.
-    for (std::size_t tier = 0; tier < schedule.lanes.size(); ++tier) {
-        const FluidQueue& queue = schedule.queues[QueueOf(tier)];
-        std::deque<double>& lane = schedule.lanes[tier].in_service;
-        while (!lane.empty() && Drained(lane.front(), queue.drained_ms)) {
-            lane.pop_front();
-        }
-    }
+std::size_t
+AdmissionController::RetirableCount(const std::vector<FluidQueue>& queues,
+                                    std::size_t tier) const
+{
+    // A request retires once its queue's work has drained past it.
+    const double drained_ms = queues[QueueOf(tier)].drained_ms;
+    const std::deque<double>& lane = schedule_.lanes[tier].in_service;
+    auto it = lane.begin();
+    while (it != lane.end() && Drained(*it, drained_ms)) ++it;
+    return static_cast<std::size_t>(it - lane.begin());
 }
 
 double
-AdmissionController::FluidDelay(const Schedule& schedule,
+AdmissionController::FluidDelay(const std::vector<FluidQueue>& queues,
                                 std::size_t queue,
                                 double est_latency_ms,
                                 double target_work) const
@@ -153,9 +167,9 @@ AdmissionController::FluidDelay(const Schedule& schedule,
     // Forward-simulate the fluid device with the candidate's work
     // appended to its queue, assuming no further arrivals (exact for a
     // lone queue — the FIFO case — optimistic otherwise; file header).
-    std::vector<double> backlog(schedule.queues.size());
+    std::vector<double>& backlog = delay_backlog_;
     for (std::size_t q = 0; q < backlog.size(); ++q) {
-        backlog[q] = schedule.queues[q].backlog_ms;
+        backlog[q] = queues[q].backlog_ms;
     }
     backlog[queue] += est_latency_ms;
 
@@ -188,24 +202,21 @@ AdmissionController::FluidDelay(const Schedule& schedule,
 }
 
 AdmissionController::Verdict
-AdmissionController::Evaluate(const Schedule& schedule, double arrival_ms,
+AdmissionController::Evaluate(const std::vector<FluidQueue>& queues,
+                              double virtual_time, std::size_t queue_depth,
+                              std::size_t tier_queue_depth, double arrival_ms,
                               double est_latency_ms, double deadline_ms,
                               std::size_t tier) const
 {
     const std::size_t queue_index = QueueOf(tier);
-    const FluidQueue& queue = schedule.queues[queue_index];
+    const FluidQueue& queue = queues[queue_index];
     const TierPolicy& tier_policy = tiers_[tier];
 
     Verdict verdict;
     verdict.arrival_ms = arrival_ms;
     verdict.tier = tier;
-
-    std::size_t total_depth = 0;
-    for (const TierLane& lane : schedule.lanes) {
-        total_depth += lane.in_service.size();
-    }
-    verdict.queue_depth = total_depth;
-    verdict.tier_queue_depth = schedule.lanes[tier].in_service.size();
+    verdict.queue_depth = queue_depth;
+    verdict.tier_queue_depth = tier_queue_depth;
 
     // Service start: when the tier's prior backlog has drained;
     // completion: when the request's own work has too. Both priced on
@@ -213,20 +224,20 @@ AdmissionController::Evaluate(const Schedule& schedule, double arrival_ms,
     const double prior_work = queue.backlog_ms;
     verdict.start_ms =
         arrival_ms +
-        FluidDelay(schedule, queue_index, est_latency_ms, prior_work);
+        FluidDelay(queues, queue_index, est_latency_ms, prior_work);
     verdict.completion_ms =
-        arrival_ms + FluidDelay(schedule, queue_index, est_latency_ms,
+        arrival_ms + FluidDelay(queues, queue_index, est_latency_ms,
                                 prior_work + est_latency_ms);
     verdict.wait_ms = verdict.start_ms - arrival_ms;
 
     // Classic WFQ virtual tags over the system virtual clock.
     verdict.start_tag =
-        std::max(schedule.virtual_time, queue.last_finish_tag);
+        std::max(virtual_time, queue.last_finish_tag);
     verdict.finish_tag =
         verdict.start_tag + est_latency_ms / queue_weights_[queue_index];
 
     if (policy_.max_queue_depth > 0 &&
-        total_depth >= policy_.max_queue_depth) {
+        queue_depth >= policy_.max_queue_depth) {
         verdict.outcome = Outcome::kRejectedQueueFull;
         return verdict;
     }
@@ -265,18 +276,27 @@ AdmissionController::Admit(double arrival_ms, double est_latency_ms,
                            << tiers_.size() << " tiers)");
     std::lock_guard<std::mutex> lock(mutex_);
 
-    // Clamp the arrival monotone and advance the fluid device to it.
-    // Draining is how completed virtual work retires, so it runs for
-    // every outcome — Probe drains a private copy the same way, which
-    // is what keeps the two in exact agreement.
-    double clamped = std::max(arrival_ms, 0.0);
-    if (schedule_.saw_arrival) {
-        clamped = std::max(clamped, schedule_.last_arrival_ms);
+    // Clamp the arrival monotone, advance the fluid device to it, and
+    // retire the requests whose work has drained. This runs for every
+    // outcome — Probe advances scratch queues the same way and counts
+    // the same retirements, which is what keeps the two in exact
+    // agreement.
+    const double clamped = ClampArrival(arrival_ms);
+    AdvanceFluid(schedule_.queues, schedule_.virtual_time, clamped);
+    schedule_.last_event_ms = clamped;
+    std::size_t queue_depth = 0;
+    for (std::size_t t = 0; t < schedule_.lanes.size(); ++t) {
+        std::deque<double>& lane = schedule_.lanes[t].in_service;
+        const std::size_t retired = RetirableCount(schedule_.queues, t);
+        lane.erase(lane.begin(),
+                   lane.begin() + static_cast<std::ptrdiff_t>(retired));
+        queue_depth += lane.size();
     }
-    Drain(schedule_, clamped);
 
-    const Verdict verdict =
-        Evaluate(schedule_, clamped, est_latency_ms, deadline_ms, tier);
+    const Verdict verdict = Evaluate(
+        schedule_.queues, schedule_.virtual_time, queue_depth,
+        schedule_.lanes[tier].in_service.size(), clamped, est_latency_ms,
+        deadline_ms, tier);
 
     if (!schedule_.saw_arrival) {
         counters_.first_arrival_ms = clamped;
@@ -326,14 +346,24 @@ AdmissionController::Probe(double arrival_ms, double est_latency_ms,
                    "tier " << tier << " out of range (policy resolves "
                            << tiers_.size() << " tiers)");
     std::lock_guard<std::mutex> lock(mutex_);
-    // Evaluate on a private copy of the schedule: the clamp and the
-    // drain happen exactly as Admit would apply them, but nothing is
-    // recorded.
-    Schedule copy = schedule_;
-    double clamped = std::max(arrival_ms, 0.0);
-    if (copy.saw_arrival) clamped = std::max(clamped, copy.last_arrival_ms);
-    Drain(copy, clamped);
-    return Evaluate(copy, clamped, est_latency_ms, deadline_ms, tier);
+    // The clamp and the fluid advance happen exactly as Admit would
+    // apply them, but on scratch queues, and the retirements are only
+    // counted: nothing is recorded.
+    const double clamped = ClampArrival(arrival_ms);
+    probe_queues_ = schedule_.queues;
+    double virtual_time = schedule_.virtual_time;
+    AdvanceFluid(probe_queues_, virtual_time, clamped);
+    std::size_t queue_depth = 0;
+    std::size_t tier_queue_depth = 0;
+    for (std::size_t t = 0; t < schedule_.lanes.size(); ++t) {
+        const std::size_t depth = schedule_.lanes[t].in_service.size() -
+                                  RetirableCount(probe_queues_, t);
+        queue_depth += depth;
+        if (t == tier) tier_queue_depth = depth;
+    }
+    return Evaluate(probe_queues_, virtual_time, queue_depth,
+                    tier_queue_depth, clamped, est_latency_ms, deadline_ms,
+                    tier);
 }
 
 AdmissionController::Counters

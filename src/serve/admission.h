@@ -222,6 +222,9 @@ class AdmissionController
      * admission model this way before deciding where a request lands
      * (serve/cluster.h); as long as no Admit intervenes, a subsequent
      * Admit with identical arguments returns an identical verdict.
+     * The schedule is never copied: only the per-queue fluid state is
+     * advanced in reused scratch, and the requests Admit would retire
+     * are counted rather than popped.
      */
     Verdict Probe(double arrival_ms, double est_latency_ms,
                   double deadline_ms = 0.0, std::size_t tier = 0) const;
@@ -251,8 +254,8 @@ class AdmissionController
         std::deque<double> in_service;
     };
 
-    /** The whole mutable virtual schedule, copyable so Probe can
-     *  evaluate on a private copy. */
+    /** The whole mutable virtual schedule (Probe reads it, never
+     *  copies it; see Probe). */
     struct Schedule {
         std::vector<FluidQueue> queues;
         std::vector<TierLane> lanes;
@@ -263,19 +266,33 @@ class AdmissionController
     };
 
     std::size_t QueueOf(std::size_t tier) const;
-    /** Advances @p schedule's fluid device to @p now_ms: drains
-     *  backlogs at weighted-fair rates, advances the virtual clock,
-     *  retires completed requests from the lanes. */
-    void Drain(Schedule& schedule, double now_ms) const;
+    /** @p arrival_ms clamped monotone against the recorded arrivals. */
+    double ClampArrival(double arrival_ms) const;
+    /** Advances the fluid device @p queues from schedule_.last_event_ms
+     *  to @p now_ms: drains backlogs at weighted-fair rates and
+     *  advances the WFQ virtual clock @p virtual_time. Touches nothing
+     *  else, so Admit runs it on the schedule and Probe on a scratch
+     *  copy of the queues. */
+    void AdvanceFluid(std::vector<FluidQueue>& queues, double& virtual_time,
+                      double now_ms) const;
+    /** How many requests at the front of @p tier's lane have fully
+     *  drained in @p queues: the prefix Admit retires and Probe only
+     *  counts. */
+    std::size_t RetirableCount(const std::vector<FluidQueue>& queues,
+                               std::size_t tier) const;
     /** Model-ms from now until @p target_work ms of queue @p queue's
      *  work has drained, with @p est_latency_ms of candidate work
-     *  already appended to it ( @p schedule already drained to now). */
-    double FluidDelay(const Schedule& schedule, std::size_t queue,
-                      double est_latency_ms, double target_work) const;
-    /** Computes the verdict for @p schedule (drained to the clamped
-     *  arrival) without mutating anything — shared verbatim by Admit
-     *  and Probe, which is what keeps them in exact agreement. */
-    Verdict Evaluate(const Schedule& schedule, double arrival_ms,
+     *  already appended to it ( @p queues already advanced to now). */
+    double FluidDelay(const std::vector<FluidQueue>& queues,
+                      std::size_t queue, double est_latency_ms,
+                      double target_work) const;
+    /** Computes the verdict for @p queues and @p virtual_time (advanced
+     *  to the clamped arrival) with the given post-retirement depths,
+     *  without mutating the schedule — shared verbatim by Admit and
+     *  Probe, which is what keeps them in exact agreement. */
+    Verdict Evaluate(const std::vector<FluidQueue>& queues,
+                     double virtual_time, std::size_t queue_depth,
+                     std::size_t tier_queue_depth, double arrival_ms,
                      double est_latency_ms, double deadline_ms,
                      std::size_t tier) const;
 
@@ -286,6 +303,11 @@ class AdmissionController
     mutable std::mutex mutex_;
     Schedule schedule_;
     Counters counters_;
+    /** Scratch reused under mutex_: Probe's advanced queues and
+     *  FluidDelay's forward-simulated backlogs (sized once, so neither
+     *  allocates per call). */
+    mutable std::vector<FluidQueue> probe_queues_;
+    mutable std::vector<double> delay_backlog_;
 };
 
 }  // namespace flexnerfer

@@ -98,6 +98,22 @@ MakeReplicas(const ClusterConfig& config, std::size_t shards)
     return replicas;
 }
 
+/** The wire round-trip's buffers, reused across requests. Per thread,
+ *  not per cluster: Finish runs outside the cluster mutex, so one
+ *  shared buffer would race between concurrent waiters. */
+struct WireScratch {
+    std::string frame;
+    SceneRequest request;
+    RenderResult result;
+};
+
+WireScratch&
+ThreadWireScratch()
+{
+    thread_local WireScratch scratch;
+    return scratch;
+}
+
 }  // namespace
 
 ShardedRenderService::ShardedRenderService(const ClusterConfig& config)
@@ -470,9 +486,10 @@ ShardedRenderService::RouteToShardLocked(
     // pays the link model. Delay is telemetry; loss is terminal once
     // the retransmit budget runs out (see serve/transport.h).
     if (config_.transport != nullptr) {
-        const std::string frame = wire::EncodeSceneRequest(request);
+        WireScratch& scratch = ThreadWireScratch();
+        wire::EncodeSceneRequest(request, scratch.frame);
         const SimTransport::Delivery delivery = config_.transport->Transmit(
-            shard, frame.size(), request.arrival_ms,
+            shard, scratch.frame.size(), request.arrival_ms,
             SimTransport::Direction::kRequest);
         if (!delivery.delivered) {
             ++transport_failures_;
@@ -498,7 +515,8 @@ ShardedRenderService::RouteToShardLocked(
             return;
         }
         pending.rpc_delay_ms += delivery.deliver_ms - request.arrival_ms;
-        const SceneRequest echoed = wire::DecodeSceneRequest(frame);
+        SceneRequest& echoed = scratch.request;
+        wire::DecodeSceneRequest(scratch.frame, echoed);
         FLEX_CHECK_MSG(echoed.scene == request.scene &&
                            echoed.tier == request.tier &&
                            echoed.priority == request.priority &&
@@ -587,14 +605,16 @@ ShardedRenderService::Finish(Pending&& pending)
     // response leg (latency only — the verdict already exists, so the
     // return channel never fails; see serve/transport.h).
     if (config_.transport != nullptr && !pending.transport_failed) {
-        const std::string frame = wire::EncodeRenderResult(out.result);
+        WireScratch& scratch = ThreadWireScratch();
+        wire::EncodeRenderResult(out.result, scratch.frame);
         const double done_ms =
             pending.request.arrival_ms + out.result.latency_ms;
         const SimTransport::Delivery delivery = config_.transport->Transmit(
-            pending.shard, frame.size(), done_ms,
+            pending.shard, scratch.frame.size(), done_ms,
             SimTransport::Direction::kResponse);
         out.rpc_delay_ms += delivery.deliver_ms - done_ms;
-        RenderResult echoed = wire::DecodeRenderResult(frame);
+        RenderResult& echoed = scratch.result;
+        wire::DecodeRenderResult(scratch.frame, echoed);
         FLEX_CHECK_MSG(echoed.status == out.result.status &&
                            echoed.scene == out.result.scene &&
                            echoed.cost == out.result.cost &&
@@ -603,7 +623,9 @@ ShardedRenderService::Finish(Pending&& pending)
                                out.result.batch_elements,
                        "wire round-trip diverged for a result of scene '"
                            << out.result.scene << "'");
-        out.result = std::move(echoed);
+        // Hand back the decoded copy; the swap leaves the scratch a
+        // string buffer to decode into next time.
+        std::swap(out.result, echoed);
     }
     return out;
 }
@@ -622,16 +644,16 @@ ShardedRenderService::Wait(ClusterTicket ticket)
 std::vector<ClusterRenderResult>
 ShardedRenderService::WaitAll()
 {
-    std::vector<Pending> drained;
+    TicketLedger<Pending> drained;
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        drained = pending_.TakeAll();
+        drained = pending_.Detach();
     }
     std::vector<ClusterRenderResult> results;
     results.reserve(drained.size());
-    for (Pending& pending : drained) {
+    drained.ForEach([&](ClusterTicket, Pending& pending) {
         results.push_back(Finish(std::move(pending)));
-    }
+    });
     return results;
 }
 

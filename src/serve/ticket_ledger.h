@@ -67,6 +67,24 @@ class TicketLedger
         return values;
     }
 
+    /** Consumes every unconsumed entry by handing the whole ledger
+     *  over in O(1), without moving any entry, so the caller can drain
+     *  the returned ledger (ForEach) outside the lock that guards this
+     *  one. Tickets here keep counting from where they left off. */
+    TicketLedger
+    Detach()
+    {
+        TicketLedger taken;
+        taken.entries_.swap(entries_);
+        taken.first_ = first_;
+        first_ += taken.entries_.size();
+        return taken;
+    }
+
+    /** Entries held, consumed ones included: an upper bound on the
+     *  unconsumed count. */
+    std::size_t size() const { return entries_.size(); }
+
     /** Calls @p visit(ticket, entry) for every unconsumed entry, in
      *  ticket order. */
     template <typename Visit>

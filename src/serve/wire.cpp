@@ -1,5 +1,6 @@
 #include "serve/wire.h"
 
+#include <cstdio>
 #include <cstring>
 
 #include "common/logging.h"
@@ -8,58 +9,83 @@ namespace flexnerfer {
 namespace wire {
 namespace {
 
-void
-AppendU8(std::string& out, std::uint8_t v)
-{
-    out.push_back(static_cast<char>(v));
-}
-
-void
-AppendU16(std::string& out, std::uint16_t v)
-{
-    for (int i = 0; i < 2; ++i) {
-        out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+/// Writes one frame into a caller-owned buffer: the header first, with
+/// a placeholder payload size that Close() patches once the payload is
+/// in. Multi-byte fields go in as one little-endian chunk each.
+class Writer {
+public:
+    Writer(std::string& out, MessageType type, std::size_t payload_bytes)
+        : out_(out)
+    {
+        out_.clear();
+        const std::size_t frame_bytes = kHeaderSize + payload_bytes;
+        if (out_.capacity() < frame_bytes) out_.reserve(frame_bytes);
+        U32(kMagic);
+        U16(kVersion);
+        U8(static_cast<std::uint8_t>(type));
+        U8(0);  // reserved
+        U32(0);  // payload size, patched by Close()
     }
-}
 
-void
-AppendU32(std::string& out, std::uint32_t v)
-{
-    for (int i = 0; i < 4; ++i) {
-        out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+    void U8(std::uint8_t v) { out_.push_back(static_cast<char>(v)); }
+    void U16(std::uint16_t v) { Put<2>(v); }
+    void U32(std::uint32_t v) { Put<4>(v); }
+    void U64(std::uint64_t v) { Put<8>(v); }
+
+    void
+    F64(double v)
+    {
+        static_assert(sizeof(double) == sizeof(std::uint64_t),
+                      "IEEE-754 double expected");
+        std::uint64_t bits = 0;
+        std::memcpy(&bits, &v, sizeof(bits));
+        U64(bits);
     }
-}
 
-void
-AppendU64(std::string& out, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i) {
-        out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+    void
+    String(const std::string& s)
+    {
+        U32(static_cast<std::uint32_t>(s.size()));
+        out_.append(s);
     }
-}
 
-void
-AppendF64(std::string& out, double v)
-{
-    static_assert(sizeof(double) == sizeof(std::uint64_t),
-                  "IEEE-754 double expected");
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof(bits));
-    AppendU64(out, bits);
-}
+    /// Patches the header's payload size (offset 8, after magic,
+    /// version, type and reserved) to what was written.
+    void
+    Close()
+    {
+        char size[4];
+        LittleEndian<4>(out_.size() - kHeaderSize, size);
+        std::memcpy(&out_[kHeaderSize - 4], size, sizeof(size));
+    }
 
-void
-AppendString(std::string& out, const std::string& s)
-{
-    AppendU32(out, static_cast<std::uint32_t>(s.size()));
-    out.append(s);
-}
+private:
+    template <int N>
+    static void
+    LittleEndian(std::uint64_t v, char* bytes)
+    {
+        for (int i = 0; i < N; ++i) {
+            bytes[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
+        }
+    }
+
+    template <int N>
+    void
+    Put(std::uint64_t v)
+    {
+        char bytes[N];
+        LittleEndian<N>(v, bytes);
+        out_.append(bytes, N);
+    }
+
+    std::string& out_;
+};
 
 /// Cursor over a decoded payload; every read bounds-checks against the
 /// declared payload size so a truncated or padded frame dies loudly.
 class Reader {
 public:
-    Reader(const std::string& frame, std::size_t begin, std::size_t end)
+    Reader(std::string_view frame, std::size_t begin, std::size_t end)
         : frame_(frame), pos_(begin), end_(end)
     {
     }
@@ -71,47 +97,9 @@ public:
         return static_cast<std::uint8_t>(frame_[pos_++]);
     }
 
-    std::uint16_t
-    U16()
-    {
-        Need(2);
-        std::uint16_t v = 0;
-        for (int i = 0; i < 2; ++i) {
-            v |= static_cast<std::uint16_t>(
-                     static_cast<std::uint8_t>(frame_[pos_ + i]))
-                 << (8 * i);
-        }
-        pos_ += 2;
-        return v;
-    }
-
-    std::uint32_t
-    U32()
-    {
-        Need(4);
-        std::uint32_t v = 0;
-        for (int i = 0; i < 4; ++i) {
-            v |= static_cast<std::uint32_t>(
-                     static_cast<std::uint8_t>(frame_[pos_ + i]))
-                 << (8 * i);
-        }
-        pos_ += 4;
-        return v;
-    }
-
-    std::uint64_t
-    U64()
-    {
-        Need(8);
-        std::uint64_t v = 0;
-        for (int i = 0; i < 8; ++i) {
-            v |= static_cast<std::uint64_t>(
-                     static_cast<std::uint8_t>(frame_[pos_ + i]))
-                 << (8 * i);
-        }
-        pos_ += 8;
-        return v;
-    }
+    std::uint16_t U16() { return static_cast<std::uint16_t>(Get<2>()); }
+    std::uint32_t U32() { return static_cast<std::uint32_t>(Get<4>()); }
+    std::uint64_t U64() { return Get<8>(); }
 
     double
     F64()
@@ -122,14 +110,14 @@ public:
         return v;
     }
 
-    std::string
-    String()
+    /// Reads a length-prefixed string into @p s, reusing its capacity.
+    void
+    String(std::string& s)
     {
         const std::uint32_t size = U32();
         Need(size);
-        std::string s = frame_.substr(pos_, size);
+        s.assign(frame_.data() + pos_, size);
         pos_ += size;
-        return s;
     }
 
     /// The payload must be fully consumed — trailing bytes mean the
@@ -144,6 +132,21 @@ public:
     }
 
 private:
+    template <int N>
+    std::uint64_t
+    Get()
+    {
+        Need(N);
+        std::uint64_t v = 0;
+        for (int i = 0; i < N; ++i) {
+            v |= static_cast<std::uint64_t>(
+                     static_cast<std::uint8_t>(frame_[pos_ + i]))
+                 << (8 * i);
+        }
+        pos_ += N;
+        return v;
+    }
+
     void
     Need(std::size_t bytes) const
     {
@@ -153,28 +156,14 @@ private:
         }
     }
 
-    const std::string& frame_;
+    std::string_view frame_;
     std::size_t pos_;
     std::size_t end_;
 };
 
-std::string
-Frame(MessageType type, const std::string& payload)
-{
-    std::string out;
-    out.reserve(kHeaderSize + payload.size());
-    AppendU32(out, kMagic);
-    AppendU16(out, kVersion);
-    AppendU8(out, static_cast<std::uint8_t>(type));
-    AppendU8(out, 0);  // reserved
-    AppendU32(out, static_cast<std::uint32_t>(payload.size()));
-    out.append(payload);
-    return out;
-}
-
 /// Validates the header and returns a payload reader.
 Reader
-OpenFrame(const std::string& frame, MessageType expected)
+OpenFrame(std::string_view frame, MessageType expected)
 {
     if (frame.size() < kHeaderSize) {
         Fatal("wire: frame shorter than header (" +
@@ -183,7 +172,10 @@ OpenFrame(const std::string& frame, MessageType expected)
     Reader header(frame, 0, kHeaderSize);
     const std::uint32_t magic = header.U32();
     if (magic != kMagic) {
-        Fatal("wire: bad magic 0x" + std::to_string(magic) +
+        char hex[16];
+        std::snprintf(hex, sizeof(hex), "0x%08x",
+                      static_cast<unsigned>(magic));
+        Fatal(std::string("wire: bad magic ") + hex +
               " - not a FlexNeRFer wire frame");
     }
     const std::uint16_t version = header.U16();
@@ -207,19 +199,23 @@ OpenFrame(const std::string& frame, MessageType expected)
     return Reader(frame, kHeaderSize, frame.size());
 }
 
+/// Encoded sizes of the fixed-width payload parts (Writer reserve hints).
+constexpr std::size_t kFrameCostBytes = 10 * 8;
+constexpr std::size_t kStringPrefixBytes = 4;
+
 void
-AppendFrameCost(std::string& out, const FrameCost& cost)
+WriteFrameCost(Writer& writer, const FrameCost& cost)
 {
-    AppendF64(out, cost.latency_ms);
-    AppendF64(out, cost.energy_mj);
-    AppendF64(out, cost.gemm_ms);
-    AppendF64(out, cost.encoding_ms);
-    AppendF64(out, cost.other_ms);
-    AppendF64(out, cost.codec_ms);
-    AppendF64(out, cost.dram_ms);
-    AppendF64(out, cost.gemm_utilization);
-    AppendF64(out, cost.gemm_macs);
-    AppendF64(out, cost.critical_path_ms);
+    writer.F64(cost.latency_ms);
+    writer.F64(cost.energy_mj);
+    writer.F64(cost.gemm_ms);
+    writer.F64(cost.encoding_ms);
+    writer.F64(cost.other_ms);
+    writer.F64(cost.codec_ms);
+    writer.F64(cost.dram_ms);
+    writer.F64(cost.gemm_utilization);
+    writer.F64(cost.gemm_macs);
+    writer.F64(cost.critical_path_ms);
 }
 
 FrameCost
@@ -241,86 +237,119 @@ ReadFrameCost(Reader& reader)
 
 }  // namespace
 
+void
+EncodeSceneRequest(const SceneRequest& request, std::string& out)
+{
+    Writer writer(out, MessageType::kSceneRequest,
+                  kStringPrefixBytes + request.scene.size() + 4 * 8);
+    writer.String(request.scene);
+    writer.U64(static_cast<std::uint64_t>(request.tier));
+    writer.U64(static_cast<std::uint64_t>(
+        static_cast<std::int64_t>(request.priority)));
+    writer.F64(request.deadline_ms);
+    writer.F64(request.arrival_ms);
+    writer.Close();
+}
+
 std::string
 EncodeSceneRequest(const SceneRequest& request)
 {
-    std::string payload;
-    AppendString(payload, request.scene);
-    AppendU64(payload, static_cast<std::uint64_t>(request.tier));
-    AppendU64(payload, static_cast<std::uint64_t>(
-                           static_cast<std::int64_t>(request.priority)));
-    AppendF64(payload, request.deadline_ms);
-    AppendF64(payload, request.arrival_ms);
-    return Frame(MessageType::kSceneRequest, payload);
+    std::string frame;
+    EncodeSceneRequest(request, frame);
+    return frame;
+}
+
+void
+DecodeSceneRequest(std::string_view frame, SceneRequest& out)
+{
+    Reader reader = OpenFrame(frame, MessageType::kSceneRequest);
+    reader.String(out.scene);
+    out.tier = static_cast<std::size_t>(reader.U64());
+    out.priority =
+        static_cast<int>(static_cast<std::int64_t>(reader.U64()));
+    out.deadline_ms = reader.F64();
+    out.arrival_ms = reader.F64();
+    reader.Finish();
 }
 
 SceneRequest
-DecodeSceneRequest(const std::string& frame)
+DecodeSceneRequest(std::string_view frame)
 {
-    Reader reader = OpenFrame(frame, MessageType::kSceneRequest);
     SceneRequest request;
-    request.scene = reader.String();
-    request.tier = static_cast<std::size_t>(reader.U64());
-    request.priority =
-        static_cast<int>(static_cast<std::int64_t>(reader.U64()));
-    request.deadline_ms = reader.F64();
-    request.arrival_ms = reader.F64();
-    reader.Finish();
+    DecodeSceneRequest(frame, request);
     return request;
+}
+
+void
+EncodeRenderResult(const RenderResult& result, std::string& out)
+{
+    Writer writer(out, MessageType::kRenderResult,
+                  1 + kStringPrefixBytes + result.scene.size() + 8 +
+                      kFrameCostBytes + 3 * 8);
+    writer.U8(static_cast<std::uint8_t>(result.status));
+    writer.String(result.scene);
+    writer.U64(static_cast<std::uint64_t>(result.tier));
+    WriteFrameCost(writer, result.cost);
+    writer.F64(result.queue_wait_ms);
+    writer.F64(result.latency_ms);
+    writer.U64(static_cast<std::uint64_t>(result.batch_elements));
+    writer.Close();
 }
 
 std::string
 EncodeRenderResult(const RenderResult& result)
 {
-    std::string payload;
-    AppendU8(payload, static_cast<std::uint8_t>(result.status));
-    AppendString(payload, result.scene);
-    AppendU64(payload, static_cast<std::uint64_t>(result.tier));
-    AppendFrameCost(payload, result.cost);
-    AppendF64(payload, result.queue_wait_ms);
-    AppendF64(payload, result.latency_ms);
-    AppendU64(payload, static_cast<std::uint64_t>(result.batch_elements));
-    return Frame(MessageType::kRenderResult, payload);
+    std::string frame;
+    EncodeRenderResult(result, frame);
+    return frame;
 }
 
-RenderResult
-DecodeRenderResult(const std::string& frame)
+void
+DecodeRenderResult(std::string_view frame, RenderResult& out)
 {
     Reader reader = OpenFrame(frame, MessageType::kRenderResult);
-    RenderResult result;
     const std::uint8_t status = reader.U8();
     if (status > static_cast<std::uint8_t>(RequestStatus::kFailedTransport)) {
         Fatal("wire: unknown request status " + std::to_string(status));
     }
-    result.status = static_cast<RequestStatus>(status);
-    result.scene = reader.String();
-    result.tier = static_cast<std::size_t>(reader.U64());
-    result.cost = ReadFrameCost(reader);
-    result.queue_wait_ms = reader.F64();
-    result.latency_ms = reader.F64();
-    result.batch_elements = static_cast<std::size_t>(reader.U64());
+    out.status = static_cast<RequestStatus>(status);
+    reader.String(out.scene);
+    out.tier = static_cast<std::size_t>(reader.U64());
+    out.cost = ReadFrameCost(reader);
+    out.queue_wait_ms = reader.F64();
+    out.latency_ms = reader.F64();
+    out.batch_elements = static_cast<std::size_t>(reader.U64());
     reader.Finish();
+}
+
+RenderResult
+DecodeRenderResult(std::string_view frame)
+{
+    RenderResult result;
+    DecodeRenderResult(frame, result);
     return result;
 }
 
 std::string
 EncodeSnapshot(const WireSnapshot& snapshot)
 {
-    std::string payload;
-    AppendU64(payload, snapshot.shard);
-    AppendU64(payload, snapshot.submitted);
-    AppendU64(payload, snapshot.accepted);
-    AppendU64(payload, snapshot.rejected_queue_full);
-    AppendU64(payload, snapshot.shed_deadline);
-    AppendU64(payload, snapshot.completed);
-    AppendF64(payload, snapshot.busy_ms);
-    AppendF64(payload, snapshot.p50_latency_ms);
-    AppendF64(payload, snapshot.p99_latency_ms);
-    return Frame(MessageType::kShardSnapshot, payload);
+    std::string frame;
+    Writer writer(frame, MessageType::kShardSnapshot, 9 * 8);
+    writer.U64(snapshot.shard);
+    writer.U64(snapshot.submitted);
+    writer.U64(snapshot.accepted);
+    writer.U64(snapshot.rejected_queue_full);
+    writer.U64(snapshot.shed_deadline);
+    writer.U64(snapshot.completed);
+    writer.F64(snapshot.busy_ms);
+    writer.F64(snapshot.p50_latency_ms);
+    writer.F64(snapshot.p99_latency_ms);
+    writer.Close();
+    return frame;
 }
 
 WireSnapshot
-DecodeSnapshot(const std::string& frame)
+DecodeSnapshot(std::string_view frame)
 {
     Reader reader = OpenFrame(frame, MessageType::kShardSnapshot);
     WireSnapshot snapshot;

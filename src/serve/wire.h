@@ -11,11 +11,16 @@
  *
  * Encoding is explicit little-endian byte serialization (no struct
  * memcpy), so frames are identical across hosts and the decode side can
- * be validated byte-for-byte. Any malformed frame — wrong magic, wrong
- * version, wrong message type, a size that disagrees with the header,
- * or an unknown result status — is a `Fatal` error mentioning "wire",
- * because a version skew between controller and shard is an operator
- * error, not a recoverable fault.
+ * be validated byte-for-byte. A frame is one contiguous buffer: the
+ * encoder writes the header with a placeholder size, appends the
+ * payload, then patches the size. Hot paths encode into and decode out
+ * of buffers they reuse (the two-argument overloads).
+ *
+ * Any malformed frame — wrong magic, wrong version, wrong message
+ * type, a size that disagrees with the header, or an unknown result
+ * status — is a `Fatal` error mentioning "wire", because a version
+ * skew between controller and shard is an operator error, not a
+ * recoverable fault.
  *
  * Determinism contract: Encode(x) is a pure function of x, and
  * Decode(Encode(x)) == x field-for-field (FrameCost has exact
@@ -28,6 +33,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "serve/render_service.h"
 
@@ -63,17 +69,27 @@ struct WireSnapshot {
     double p99_latency_ms = 0.0;
 };
 
-/// Encoders: pure functions of their argument.
+/// Encoders into a caller-owned buffer: @p out is overwritten with the
+/// whole frame (header and payload written in place), and its capacity
+/// is kept, so a buffer reused across messages stops allocating.
+void EncodeSceneRequest(const SceneRequest& request, std::string& out);
+void EncodeRenderResult(const RenderResult& result, std::string& out);
+
+/// Encoders returning a fresh frame: pure functions of their argument.
 std::string EncodeSceneRequest(const SceneRequest& request);
 std::string EncodeRenderResult(const RenderResult& result);
 std::string EncodeSnapshot(const WireSnapshot& snapshot);
 
 /// Decoders: `Fatal` (message contains "wire") on magic/version/type
 /// mismatch, on any frame whose size disagrees with its header, and on a
-/// result status outside `RequestStatus`.
-SceneRequest DecodeSceneRequest(const std::string& frame);
-RenderResult DecodeRenderResult(const std::string& frame);
-WireSnapshot DecodeSnapshot(const std::string& frame);
+/// result status outside `RequestStatus`. Bounds follow @p frame, not
+/// any larger buffer it views. The two-argument forms overwrite every
+/// field of @p out, reusing its string capacity.
+void DecodeSceneRequest(std::string_view frame, SceneRequest& out);
+void DecodeRenderResult(std::string_view frame, RenderResult& out);
+SceneRequest DecodeSceneRequest(std::string_view frame);
+RenderResult DecodeRenderResult(std::string_view frame);
+WireSnapshot DecodeSnapshot(std::string_view frame);
 
 }  // namespace wire
 }  // namespace flexnerfer

@@ -15,6 +15,8 @@
 #include <cmath>
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <thread>
 #include <vector>
 
 #include "common/rng.h"
@@ -469,6 +471,66 @@ TEST(ChaosQuick, FaultFreeTransportMatchesInProcessCluster)
     EXPECT_EQ(wired.Snapshot().transport_failures, 0u);
 }
 
+TEST(ChaosQuick, ConcurrentWaitersRoundTripTheWire)
+{
+    // Finish runs outside the cluster mutex, so concurrent waiters
+    // round-trip results through the wire codec at the same time: each
+    // must use its own buffers (the sanitizer tier runs this), and
+    // every result must still match the in-process cluster's.
+    ClusterConfig plain_config;
+    plain_config.shards = 4;
+    plain_config.threads_per_shard = 2;
+    plain_config.admission.max_queue_depth = 8;
+    ShardedRenderService plain(plain_config);
+
+    ClusterControllerConfig wired_config;
+    wired_config.cluster = plain_config;
+    ClusterController wired(wired_config);
+
+    std::vector<double> est_ms;
+    double mean = 0.0;
+    for (const std::string& model : ChaosModels()) {
+        plain.RegisterScene(model, FlexScene(model));
+        wired.RegisterScene(model, FlexScene(model));
+    }
+    for (const std::string& model : ChaosModels()) {
+        est_ms.push_back(EstimatedServiceMs(plain.WarmScene(model)));
+        wired.WarmScene(model);
+        mean += est_ms.back();
+    }
+    mean /= static_cast<double>(est_ms.size());
+
+    std::vector<ClusterTicket> tickets;
+    for (const SceneRequest& request :
+         ChaosSchedule(43u, est_ms, mean, 200)) {
+        plain.Submit(request);
+        tickets.push_back(wired.Submit(request));
+    }
+    const std::vector<ClusterRenderResult> expected = plain.WaitAll();
+    ASSERT_EQ(expected.size(), tickets.size());
+
+    constexpr std::size_t kWaiters = 4;
+    std::vector<ClusterRenderResult> got(tickets.size());
+    std::vector<std::thread> waiters;
+    for (std::size_t w = 0; w < kWaiters; ++w) {
+        waiters.emplace_back([&, w] {
+            for (std::size_t i = w; i < tickets.size(); i += kWaiters) {
+                got[i] = wired.Wait(tickets[i]);
+            }
+        });
+    }
+    for (std::thread& waiter : waiters) waiter.join();
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].result.status, expected[i].result.status)
+            << "request " << i;
+        EXPECT_EQ(got[i].result.scene, expected[i].result.scene);
+        EXPECT_EQ(got[i].result.cost, expected[i].result.cost);
+        EXPECT_EQ(got[i].result.latency_ms, expected[i].result.latency_ms);
+        EXPECT_EQ(got[i].result.batch_elements,
+                  expected[i].result.batch_elements);
+    }
+}
+
 // ---------------------------------------------------------------------
 // Wire-format death tests: version skew is Fatal, never a misparse.
 // ---------------------------------------------------------------------
@@ -547,11 +609,60 @@ TEST(WireFormat, RoundTripsEveryField)
     EXPECT_EQ(wire::EncodeSnapshot(snapshot)[6], 4);
 }
 
+TEST(WireFormat, ReusedBuffersMatchFreshCodec)
+{
+    // Encoding reuses the caller's buffer: a short frame written over a
+    // long one must be byte-equal to a fresh encode.
+    SceneRequest long_request = WireRequest();
+    long_request.scene = std::string(200, 'L');
+    const SceneRequest short_request = WireRequest();
+    std::string buffer;
+    wire::EncodeSceneRequest(long_request, buffer);
+    EXPECT_EQ(buffer, wire::EncodeSceneRequest(long_request));
+    wire::EncodeSceneRequest(short_request, buffer);
+    EXPECT_EQ(buffer, wire::EncodeSceneRequest(short_request));
+
+    // Decoding overwrites every field of a reused result, including a
+    // longer stale scene.
+    const RenderResult result = WireResult();
+    const std::string frame = wire::EncodeRenderResult(result);
+    const RenderResult fresh = wire::DecodeRenderResult(frame);
+    RenderResult reused;
+    reused.status = RequestStatus::kCompleted;
+    reused.scene = std::string(200, 'S');
+    reused.tier = 9;
+    reused.cost.latency_ms = 99.0;
+    reused.cost.codec_ms = 3.0;
+    reused.queue_wait_ms = 42.0;
+    reused.latency_ms = 43.0;
+    reused.batch_elements = 7;
+    wire::DecodeRenderResult(frame, reused);
+    EXPECT_EQ(reused.status, fresh.status);
+    EXPECT_EQ(reused.scene, fresh.scene);
+    EXPECT_EQ(reused.tier, fresh.tier);
+    EXPECT_EQ(reused.cost, fresh.cost);
+    EXPECT_EQ(reused.queue_wait_ms, fresh.queue_wait_ms);
+    EXPECT_EQ(reused.latency_ms, fresh.latency_ms);
+    EXPECT_EQ(reused.batch_elements, fresh.batch_elements);
+
+    SceneRequest request;
+    request.scene = std::string(200, 'S');
+    wire::DecodeSceneRequest(wire::EncodeSceneRequest(short_request),
+                             request);
+    EXPECT_EQ(request.scene, short_request.scene);
+    EXPECT_EQ(request.tier, short_request.tier);
+    EXPECT_EQ(request.priority, short_request.priority);
+    EXPECT_EQ(request.deadline_ms, short_request.deadline_ms);
+    EXPECT_EQ(request.arrival_ms, short_request.arrival_ms);
+}
+
 TEST(WireFormatDeath, RejectsWrongMagic)
 {
     std::string frame = wire::EncodeSceneRequest(WireRequest());
     frame[0] = 'X';
-    EXPECT_DEATH(wire::DecodeSceneRequest(frame), "wire");
+    // The diagnostic prints the magic it read, in hex.
+    EXPECT_DEATH(wire::DecodeSceneRequest(frame),
+                 "wire: bad magic 0x464e5258");
 }
 
 TEST(WireFormatDeath, RejectsVersionSkew)
@@ -579,6 +690,17 @@ TEST(WireFormatDeath, RejectsTruncatedFrame)
     std::string frame = wire::EncodeSceneRequest(WireRequest());
     frame.resize(frame.size() - 3);
     EXPECT_DEATH(wire::DecodeSceneRequest(frame), "wire");
+}
+
+TEST(WireFormatDeath, TruncatedViewDiesInsideLargerBuffer)
+{
+    // Bounds follow the view, not the buffer behind it: the bytes past
+    // the view are there, but the decoder must not read them.
+    std::string buffer = wire::EncodeSceneRequest(WireRequest());
+    const std::size_t frame_size = buffer.size();
+    buffer.append(64, '\0');
+    const std::string_view view(buffer.data(), frame_size - 3);
+    EXPECT_DEATH(wire::DecodeSceneRequest(view), "wire");
 }
 
 TEST(WireFormatDeath, RejectsTrailingBytes)

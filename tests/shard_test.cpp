@@ -223,6 +223,118 @@ TEST(AdmissionController, TieredProbeMatchesAdmit)
     EXPECT_GT(shed, 0u);
 }
 
+void
+ExpectSameVerdict(const AdmissionController::Verdict& a,
+                  const AdmissionController::Verdict& b, int call)
+{
+    EXPECT_EQ(a.outcome, b.outcome) << "call " << call;
+    EXPECT_EQ(a.arrival_ms, b.arrival_ms) << "call " << call;
+    EXPECT_EQ(a.start_ms, b.start_ms) << "call " << call;
+    EXPECT_EQ(a.completion_ms, b.completion_ms) << "call " << call;
+    EXPECT_EQ(a.wait_ms, b.wait_ms) << "call " << call;
+    EXPECT_EQ(a.queue_depth, b.queue_depth) << "call " << call;
+    EXPECT_EQ(a.tier_queue_depth, b.tier_queue_depth) << "call " << call;
+    EXPECT_EQ(a.deadline_ms, b.deadline_ms) << "call " << call;
+    EXPECT_EQ(a.tier, b.tier) << "call " << call;
+    EXPECT_EQ(a.start_tag, b.start_tag) << "call " << call;
+    EXPECT_EQ(a.finish_tag, b.finish_tag) << "call " << call;
+}
+
+TEST(AdmissionController, RandomizedProbeAgreesWithAdmit)
+{
+    // Seeded random traffic that keeps the lanes deep: service demand
+    // far above the arrival rate, under tier depth caps. Most arrivals
+    // step forward a little; some jump far enough to retire part of a
+    // deep lane, and some go backwards (the monotone clamp). Before
+    // every Admit, two Probes with the same arguments must agree with
+    // it field for field, and the counters must match a probe-free
+    // reference run.
+    for (const AdmissionDiscipline discipline :
+         {AdmissionDiscipline::kFifo, AdmissionDiscipline::kWeightedFair}) {
+        AdmissionPolicy policy;
+        policy.discipline = discipline;
+        policy.max_queue_depth = 48;
+        policy.tiers = DeterminismTiers();
+        policy.tiers[0].default_deadline_ms = 400.0;
+        policy.tiers[1].max_queue_depth = 12;
+        policy.tiers[2].max_queue_depth = 20;
+        AdmissionController admission(policy);
+        AdmissionController reference(policy);
+        Rng rng(discipline == AdmissionDiscipline::kFifo ? 91 : 92);
+
+        double now_ms = 0.0;
+        std::size_t depth_after = 0;  // total depth after the last Admit
+        int partial_retires = 0;
+        int clamped = 0;
+        std::size_t deepest = 0;
+        for (int call = 0; call < 2500; ++call) {
+            const double step = rng.Uniform();
+            double arrival_ms = now_ms + rng.Uniform(0.0, 2.0);
+            if (step < 0.05) {
+                arrival_ms = now_ms + rng.Uniform(20.0, 120.0);
+            } else if (step < 0.15) {
+                arrival_ms = now_ms - rng.Uniform(0.0, 10.0);
+            }
+            now_ms = std::max(now_ms, arrival_ms);
+            const double est_ms = rng.Uniform(1.0, 12.0);
+            const double deadline_ms =
+                rng.Bernoulli(0.3) ? rng.Uniform(5.0, 200.0) : 0.0;
+            const auto tier = static_cast<std::size_t>(rng.UniformInt(0, 2));
+
+            const auto probed =
+                admission.Probe(arrival_ms, est_ms, deadline_ms, tier);
+            const auto probed_again =
+                admission.Probe(arrival_ms, est_ms, deadline_ms, tier);
+            const auto admitted =
+                admission.Admit(arrival_ms, est_ms, deadline_ms, tier);
+            const auto unprobed =
+                reference.Admit(arrival_ms, est_ms, deadline_ms, tier);
+            ExpectSameVerdict(probed, admitted, call);
+            ExpectSameVerdict(probed_again, admitted, call);
+            ExpectSameVerdict(unprobed, admitted, call);
+
+            if (admitted.queue_depth > 0 &&
+                admitted.queue_depth + 1 < depth_after) {
+                ++partial_retires;
+            }
+            if (admitted.arrival_ms > arrival_ms) ++clamped;
+            deepest = std::max(deepest, admitted.queue_depth);
+            depth_after =
+                admitted.queue_depth +
+                (admitted.outcome == AdmissionController::Outcome::kAccepted
+                     ? 1
+                     : 0);
+        }
+        // The stream reached the paths it is meant to cover.
+        EXPECT_GT(partial_retires, 0);
+        EXPECT_GT(clamped, 0);
+        EXPECT_GE(deepest, 20u);
+
+        const auto counters = admission.counters();
+        const auto expected = reference.counters();
+        EXPECT_GT(counters.accepted, 0u);
+        EXPECT_GT(counters.rejected_queue_full, 0u);
+        EXPECT_GT(counters.shed_deadline, 0u);
+        EXPECT_EQ(counters.accepted, expected.accepted);
+        EXPECT_EQ(counters.rejected_queue_full,
+                  expected.rejected_queue_full);
+        EXPECT_EQ(counters.shed_deadline, expected.shed_deadline);
+        EXPECT_EQ(counters.busy_ms, expected.busy_ms);
+        EXPECT_EQ(counters.first_arrival_ms, expected.first_arrival_ms);
+        EXPECT_EQ(counters.last_completion_ms, expected.last_completion_ms);
+        ASSERT_EQ(counters.tiers.size(), expected.tiers.size());
+        for (std::size_t t = 0; t < counters.tiers.size(); ++t) {
+            EXPECT_EQ(counters.tiers[t].submitted, expected.tiers[t].submitted);
+            EXPECT_EQ(counters.tiers[t].accepted, expected.tiers[t].accepted);
+            EXPECT_EQ(counters.tiers[t].rejected_queue_full,
+                      expected.tiers[t].rejected_queue_full);
+            EXPECT_EQ(counters.tiers[t].shed_deadline,
+                      expected.tiers[t].shed_deadline);
+            EXPECT_EQ(counters.tiers[t].busy_ms, expected.tiers[t].busy_ms);
+        }
+    }
+}
+
 TEST(LatencyHistogram, MergeMatchesConcatenationWithinBucketBound)
 {
     // Merged-vs-concatenated: folding two histograms must equal
